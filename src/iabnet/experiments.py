@@ -2,7 +2,9 @@
 
 Each experiment drops UEs around their serving BSs, draws one set of link
 states per drop, evaluates both duplex modes on those shared states (paired
-comparison), and writes figure-ready CSV tables plus a run.json manifest.
+comparison), and writes figure-ready CSV tables plus a <name>.run.json
+manifest per experiment, so several experiments can share one output
+directory.
 
 Drops run serially; each owns an independent RNG substream keyed by
 (seed, drop index), so outputs are bit-identical for a fixed (config, seed)
@@ -15,7 +17,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -101,8 +103,30 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """Build a config from its JSON form; an unknown section or field
+        raises ValueError naming it (e.g. ``qos.delta``)."""
+        sections = {
+            "topology": TopologyConfig,
+            "channel": ChannelConfig,
+            "qos": QosConfig,
+            "duplex": DuplexConfig,
+            "mc": McConfig,
+            "output": OutputConfig,
+        }
+        for key in d:
+            if key not in sections:
+                raise ValueError(
+                    f"unknown config section {key!r}; expected one of {sorted(sections)}"
+                )
+
         def build(cls, key):
             sub = dict(d.get(key, {}))
+            names = {f.name for f in fields(cls)}
+            for k in sub:
+                if k not in names:
+                    raise ValueError(
+                        f"unknown config field {key}.{k}; {key} takes {sorted(names)}"
+                    )
             for k, v in sub.items():
                 if isinstance(v, list):
                     sub[k] = tuple(v)
@@ -114,14 +138,7 @@ class ExperimentConfig:
                 )
             return cls(**sub)
 
-        return ExperimentConfig(
-            topology=build(TopologyConfig, "topology"),
-            channel=build(ChannelConfig, "channel"),
-            qos=build(QosConfig, "qos"),
-            duplex=build(DuplexConfig, "duplex"),
-            mc=build(McConfig, "mc"),
-            output=build(OutputConfig, "output"),
-        )
+        return ExperimentConfig(**{key: build(cls, key) for key, cls in sections.items()})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -453,7 +470,8 @@ def save_run(
     results: list[DropResult] | None = None,
     report: dict | None = None,
 ) -> dict[str, str]:
-    """Persist a sweep (CSV) or report (JSON) plus the run.json manifest.
+    """Persist a sweep (CSV) or report (JSON) plus its <name>.run.json
+    manifest.
 
     Returns the paths written, keyed by artifact kind.
     """
@@ -476,7 +494,7 @@ def save_run(
         "n_drops": cfg.mc.n_drops,
         "artifacts": sorted(paths.values()),
     }
-    man_path = os.path.join(cfg.output.dir, "run.json")
+    man_path = os.path.join(cfg.output.dir, f"{name}.run.json")
     with open(man_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
     paths["manifest"] = man_path

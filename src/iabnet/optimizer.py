@@ -11,7 +11,11 @@ mu (per edge):
 * utility maximization: concave program with the per-route delivery
   probability constraint sum log(1 - exp(-gap*delta/h_m)) >= log(eta);
   solved with a log-barrier interior-point method with damped Newton steps,
-  returning KKT-certified solutions.
+  returning KKT-certified solutions.  Each route constraint sees (lambda, mu)
+  only through the |E| edge gaps C mu - F lambda, so the barrier gradient and
+  Hessian are assembled in edge space (_LatencyGeometry) from per-pair
+  vectors: O(M d^2) flops per Newton step for d = M + |E| variables, where a
+  per-(UE, edge) pair matrix would cost O(n_pairs d^2).
 """
 
 from __future__ import annotations
@@ -250,61 +254,67 @@ def _psi(x: np.ndarray) -> np.ndarray:
     return np.log(-np.expm1(-x))
 
 
-def _dpsi(x: np.ndarray) -> np.ndarray:
-    """d/dx log(1 - exp(-x)) = 1/(exp(x) - 1)."""
-    out = np.empty_like(x)
-    small = x <= 30.0
-    out[small] = 1.0 / np.expm1(x[small])
-    out[~small] = np.exp(-x[~small])
-    return out
-
-
-def _d2psi(x: np.ndarray) -> np.ndarray:
-    """second derivative: -exp(x)/(exp(x)-1)^2, always negative."""
-    out = np.empty_like(x)
-    small = x <= 30.0
-    em = np.expm1(x[small])
-    out[small] = -(em + 1.0) / em**2
-    out[~small] = -np.exp(-x[~small])
-    return out
+def _dpsi_d2psi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of psi(x) = log(1 - exp(-x)) for x > 0:
+    psi' = 1/(exp(x) - 1) and psi'' = -exp(x)/(exp(x) - 1)^2 < 0, written in
+    e = exp(-x) as e/(-expm1(-x)) and -e/expm1(-x)^2 = psi'/expm1(-x), so
+    that large x underflows to 0 instead of overflowing."""
+    e = np.exp(-x)
+    em = np.expm1(-x)
+    d1 = e / -em
+    return d1, d1 / em
 
 
 class _LatencyGeometry:
-    """Precomputed pair structure for the per-route delivery constraints."""
+    """Edge-space structure of the per-route delivery constraints.
+
+    A latency pair p = (m, v), v on UE m's route, sees z = [lambda; mu] only
+    through the edge gap (J z)_v = C_v mu_v - (F lambda)_v, with the |E| x d
+    map J = [-F, diag(C)]:  x_p = scale_p (J z)_v, scale_p = delta / h_m, and
+    g_m = sum of psi(x_p) over the route - log(eta).  Per-pair quantities stay
+    vectors of length n_pairs; the barrier gradient and Hessian are assembled
+    through J (Boyd & Vandenberghe, Convex Optimization, 11.3), so no
+    per-(UE, edge) matrix of width d is formed.
+    """
 
     def __init__(self, m: NetworkMatrices, delta: float):
-        E, M = m.num_edges, m.num_ue
-        pairs = [(mi, v) for mi in range(M) for v in m.routes[mi]]
-        n_p = len(pairs)
-        d = M + E
-        A = np.zeros((n_p, d))          # x = A z + 0, z = [lam; mu]
-        S = np.zeros((M, n_p))          # route selector
-        for p, (mi, v) in enumerate(pairs):
-            scale = delta / m.h[mi]
-            A[p, M + v] = m.C[v] * scale
-            A[p, :M] -= m.F[v] * scale
-            S[mi, p] = 1.0
-        self.A = A
-        self.S = S
-        self.pair_ue = np.array([mi for mi, _ in pairs])
-        self.n_pairs = n_p
+        M, E = m.num_ue, m.num_edges
+        self.pair_ue, self.pair_edge = np.nonzero(m.F.T)
+        self.pair_flat = self.pair_ue * E + self.pair_edge  # index into M x E
+        self.num_ue, self.num_edges = M, E
+        self.scale = delta / m.h[self.pair_ue]
+        self.scale2 = self.scale**2
+        self.F, self.C = m.F, m.C
+        self.J = np.hstack((-m.F, np.diag(m.C)))
 
     def eval(self, z: np.ndarray, log_eta: float):
         """Return (g, x); g_m = sum psi(x) over route m - log(eta)."""
-        x = self.A @ z
+        x = self.scale * (self.J @ z)[self.pair_edge]
         if np.any(x <= 0):
             return None, x
-        return self.S @ _psi(x) - log_eta, x
+        return np.bincount(self.pair_ue, _psi(x), self.num_ue) - log_eta, x
 
     def grad_hess_barrier(self, z, g, x):
-        """Gradient and Hessian of -sum log(g_m) at a strictly feasible z."""
-        w1 = _dpsi(x)
-        Jg = self.S @ (w1[:, None] * self.A)              # M x d
-        grad = -(Jg / g[:, None]).sum(axis=0)
+        """Gradient and Hessian of -sum log(g_m) at a strictly feasible z.
+
+        The constraint Jacobian is Jg = R J, where R (M x |E|) holds
+        psi'(x_p) scale_p at (m, v).  With Js = Jg / g and
+        c_v = sum over the pairs on edge v of psi''(x_p) scale_p^2 / g_m,
+        H = Js^T Js - J^T diag(c) J.  The rows of J^T are -F^T and diag(C),
+        so the second term costs one M x |E| x d product.
+        """
+        M, E = self.num_ue, self.num_edges
+        d1, d2 = _dpsi_d2psi(x)
+        R = np.zeros(M * E)
+        R[self.pair_flat] = d1 * self.scale
+        Jg = R.reshape(M, E) @ self.J
         Js = Jg / g[:, None]
+        grad = -Js.sum(axis=0)
+        c = np.bincount(self.pair_edge, d2 * self.scale2 / g[self.pair_ue], E)
+        cJ = c[:, None] * self.J
         H = Js.T @ Js
-        w2 = _d2psi(x) / g[self.pair_ue]
-        H -= self.A.T @ (w2[:, None] * self.A)
+        H[:M] += self.F.T @ cJ
+        H[M:] -= self.C[:, None] * cJ
         return grad, H, Jg
 
 
@@ -606,6 +616,33 @@ def solve_utility_max(
     )
 
 
+class _ShiftedGeometry:
+    """Phase-one view of a geometry over the extended variable ze = (z, s):
+    the margins become u_m = g_m(z) - s."""
+
+    def __init__(self, geom: _LatencyGeometry):
+        self.geom = geom
+
+    def eval(self, ze, le):
+        g, x = self.geom.eval(ze[:-1], le)
+        if g is None:
+            return None, x
+        return g - ze[-1], x
+
+    def grad_hess_barrier(self, ze, g, x):
+        # g here is the shifted margin u_m = g_m(z) - s
+        d = ze.size - 1
+        gl, Hl, Jg = self.geom.grad_hess_barrier(ze[:-1], g, x)
+        ge = np.concatenate((gl, [float(np.sum(1.0 / g))]))
+        He = np.zeros((d + 1, d + 1))
+        He[:d, :d] = Hl
+        cross = -(Jg / (g**2)[:, None]).sum(axis=0)
+        He[:d, -1] = cross
+        He[-1, :d] = cross
+        He[-1, -1] = float(np.sum(1.0 / g**2))
+        return ge, He, None
+
+
 def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M, max_outer=40):
     """Maximize the worst delivery-constraint margin until it is positive.
 
@@ -619,32 +656,7 @@ def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M, max_outer=40):
         raise NumericalFailure("phase-one start has nonpositive rate gaps")
     s0 = float(np.min(g0)) - 1.0
 
-    class _ShiftedGeometry:
-        """Wraps geom over the extended variable (z, s) with margins g_m - s."""
-
-        def __init__(self):
-            self.n_pairs = geom.n_pairs
-            self.pair_ue = geom.pair_ue
-
-        def eval(self, ze, le):
-            g, x = geom.eval(ze[:-1], le)
-            if g is None:
-                return None, x
-            return g - ze[-1], x
-
-        def grad_hess_barrier(self, ze, g, x):
-            # g here is the shifted margin u_m = g_m(z) - s
-            gl, Hl, Jg = geom.grad_hess_barrier(ze[:-1], g, x)
-            ge = np.concatenate((gl, [float(np.sum(1.0 / g))]))
-            He = np.zeros((d + 1, d + 1))
-            He[:d, :d] = Hl
-            cross = -(Jg / (g**2)[:, None]).sum(axis=0)
-            He[:d, -1] = cross
-            He[-1, :d] = cross
-            He[-1, -1] = float(np.sum(1.0 / g**2))
-            return ge, He, None
-
-    sg = _ShiftedGeometry()
+    sg = _ShiftedGeometry(geom)
     ze = np.concatenate((z0, [s0]))
     lo = np.concatenate((box_lo, [-np.inf]))
     hi = np.concatenate((box_hi, [np.inf]))

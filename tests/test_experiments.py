@@ -54,6 +54,14 @@ class TestConfig:
         assert cfg.duplex.rinr_db_sweep == (-math.inf, -10.0)
         assert cfg.qos.delta_s == (1e-3, 2e-3)
 
+    def test_from_dict_rejects_unknown_field_by_name(self):
+        with pytest.raises(ValueError, match=r"qos\.delta\b"):
+            ExperimentConfig.from_dict({"qos": {"delta": 1e-3}})
+
+    def test_from_dict_rejects_unknown_section_by_name(self):
+        with pytest.raises(ValueError, match="'duplx'"):
+            ExperimentConfig.from_dict({"duplx": {"modes": ["fd"]}})
+
     def test_load_config(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"mc": {"n_drops": 7, "seed": 9}}))
@@ -165,6 +173,14 @@ class TestPersistence:
         man = json.load(open(outputs[0]["manifest"]))
         assert man["config"]["mc"]["seed"] == 123
         assert man["seed"] == 123
+
+    def test_two_experiments_keep_their_manifests(self, tmp_path):
+        cfg = small_cfg(output=OutputConfig(dir=str(tmp_path)))
+        a = save_run(cfg, "rate_sweep", results=[])
+        b = save_run(cfg, "queue_validation", report={"status": "optimal"})
+        assert a["manifest"] != b["manifest"]
+        assert json.load(open(a["manifest"]))["experiment"] == "rate_sweep"
+        assert json.load(open(b["manifest"]))["experiment"] == "queue_validation"
 
     def test_manifest_encodes_minus_inf(self, tmp_path):
         cfg = small_cfg(

@@ -16,6 +16,9 @@ from iabnet.optimizer import (
     LogUtility,
     ProblemInstance,
     SolveStatus,
+    _LatencyGeometry,
+    _ShiftedGeometry,
+    _psi,
     closed_form_t_star,
     constraint_report,
     min_feasible_delay,
@@ -175,3 +178,105 @@ class TestUtilityMax:
                 obj_hd = sol.objective
             else:
                 assert sol.objective >= obj_hd - 1e-9
+
+
+def _geometry_point(rng, m, x_lo=1e-3, x_hi=1e3):
+    """(delta, z, log_eta) with delta = 1: log-uniform edge gaps, two of
+    them pinned so that the pair arguments x = gap/h_m reach x_lo and x_hi;
+    log(eta) sits one below the smallest route sum, so every margin g_m is
+    at least 1."""
+    M, E = m.num_ue, m.num_edges
+    lam = rng.uniform(1.0, 100.0, M)
+    gap = 10.0 ** rng.uniform(math.log10(x_lo), math.log10(x_hi), E)
+    gap[rng.permutation(E)[:2]] = (x_lo, x_hi * m.h.max())[: min(E, 2)]
+    mu = (m.F @ lam + gap) / m.C
+    z = np.concatenate((lam, mu))
+    psi_sums = [np.sum(_psi(gap[list(r)] / m.h[i])) for i, r in enumerate(m.routes)]
+    return 1.0, z, min(psi_sums) - 1.0
+
+
+def _dense_oracle(m, delta, z, log_eta):
+    """The per-pair formulation: x = A z with one row per (UE, route edge)
+    pair, and the route selector S; returns (g, grad, H, Jg)."""
+    M, E = m.num_ue, m.num_edges
+    pairs = [(mi, v) for mi in range(M) for v in m.routes[mi]]
+    A = np.zeros((len(pairs), M + E))
+    S = np.zeros((M, len(pairs)))
+    for p, (mi, v) in enumerate(pairs):
+        scale = delta / m.h[mi]
+        A[p, M + v] = m.C[v] * scale
+        A[p, :M] -= m.F[v] * scale
+        S[mi, p] = 1.0
+    x = A @ z
+    g = S @ _psi(x) - log_eta
+    # psi' and psi'' in their expm1(x) forms, switched to the exp(-x)
+    # asymptote above x = 30 where expm1(x) would overflow
+    e = np.exp(-x)
+    w1, w2 = e.copy(), -e
+    small = x <= 30.0
+    em = np.expm1(x[small])
+    w1[small] = 1.0 / em
+    w2[small] = -(em + 1.0) / em**2
+    Jg = S @ (w1[:, None] * A)
+    Js = Jg / g[:, None]
+    pair_ue = np.array([mi for mi, _ in pairs])
+    H = Js.T @ Js - A.T @ ((w2 / g[pair_ue])[:, None] * A)
+    return g, -Js.sum(axis=0), H, Jg
+
+
+class TestLatencyGeometry:
+    @pytest.mark.parametrize("mode", [HD, FD])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_pair_oracle(self, mode, seed):
+        rng = np.random.default_rng(300 + seed)
+        _, m = random_instance(rng, mode)
+        delta, z, log_eta = _geometry_point(rng, m)
+        want_g, want_grad, want_H, want_Jg = _dense_oracle(m, delta, z, log_eta)
+        geom = _LatencyGeometry(m, delta)
+        with np.errstate(over="raise", invalid="raise"):
+            g, x = geom.eval(z, log_eta)
+            grad, H, Jg = geom.grad_hess_barrier(z, g, x)
+        assert x.min() <= 1.0001e-3 and x.max() >= 0.9999e3
+        np.testing.assert_allclose(g, want_g, rtol=1e-10)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-10)
+        np.testing.assert_allclose(H, want_H, rtol=1e-10)
+        np.testing.assert_allclose(Jg, want_Jg, rtol=1e-10)
+
+    def test_nonpositive_gap_rejected(self):
+        m = network_matrices(line_network(1, 1), HD, 1000.0)
+        geom = _LatencyGeometry(m, 0.01)
+        z = np.concatenate((np.full(m.num_ue, 100.0), np.full(m.num_edges, 0.05)))
+        g, x = geom.eval(z, math.log(0.9))
+        assert g is None and np.any(x <= 0)
+
+    @pytest.mark.parametrize("mode", [HD, FD])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shifted_geometry_matches_finite_differences(self, mode, seed):
+        rng = np.random.default_rng(400 + seed)
+        _, m = random_instance(rng, mode)
+        delta, z, log_eta = _geometry_point(rng, m, x_lo=0.05, x_hi=5.0)
+        sg = _ShiftedGeometry(_LatencyGeometry(m, delta))
+        ze = np.concatenate((z, [0.5]))  # margins u_m = g_m - s >= 0.5
+
+        def phi(v):
+            u, _ = sg.eval(v, log_eta)
+            return -np.sum(np.log(u))
+
+        def grad_hess(v):
+            u, x = sg.eval(v, log_eta)
+            ge, He, _ = sg.grad_hess_barrier(v, u, x)
+            return ge, He
+
+        with np.errstate(over="raise", invalid="raise"):
+            ge, He = grad_hess(ze)
+            for i in range(ze.size):
+                h = 1e-6 * max(abs(ze[i]), 1e-3)
+                up, dn = ze.copy(), ze.copy()
+                up[i] += h
+                dn[i] -= h
+                fd_grad = (phi(up) - phi(dn)) / (2 * h)
+                fd_col = (grad_hess(up)[0] - grad_hess(dn)[0]) / (2 * h)
+                assert ge[i] == pytest.approx(fd_grad, rel=1e-5, abs=1e-8)
+                # column i holds the cross term d^2 phi / dz_i ds in its last row
+                np.testing.assert_allclose(He[:, i], fd_col, rtol=1e-4,
+                                           atol=1e-6 * np.abs(He).max())
