@@ -70,9 +70,6 @@ class ChannelRealization:
     ray_gains: np.ndarray
     aoa: np.ndarray
     aod: np.ndarray
-    f_tx: np.ndarray | None = None
-    w_rx: np.ndarray | None = None
-    bf_gain: float | None = None
 
 
 def ula_response(n_antennas: int, angle: float) -> np.ndarray:
@@ -304,21 +301,6 @@ def capacity_from_links(
             s = sinr_fd(s, rinr.rinr_linear)
         c[ls.edge] = capacity_pps(budget.bandwidth_hz, s, packet_bits)
     return c
-
-
-def capacity_matrix(
-    tree: RoutingTree,
-    mode: DuplexMode,
-    rinr: RinrConfig,
-    budget: LinkBudget,
-    rng: np.random.Generator,
-    arrays: ArrayConfig = ArrayConfig(),
-    packet_bits: float = 80000.0,
-    pathloss_model: Callable = pathloss_uma,
-) -> np.ndarray:
-    """One-shot convenience: draw link states and convert to capacities."""
-    links = link_states(tree, budget, rng, arrays, pathloss_model=pathloss_model)
-    return capacity_from_links(links, mode, rinr, budget, packet_bits)
 
 
 def link_records(

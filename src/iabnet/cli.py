@@ -43,10 +43,17 @@ def _line_params(cfg: ExperimentConfig, args) -> LineNetworkParams:
     )
 
 
-def cmd_min_delay(args) -> int:
+SWEEPS = {
+    "min-delay": (experiments.run_min_delay_sweep, "min_delay"),
+    "rate-sweep": (experiments.run_rate_sweep, "rate_sweep"),
+    "delay-sweep": (experiments.run_delay_sweep, "delay_sweep"),
+}
+
+
+def cmd_sweep(args) -> int:
     cfg = _resolved_config(args)
-    results = experiments.run_min_delay_sweep(cfg)
-    paths = experiments.save_run(cfg, "min_delay", results=results)
+    runner, name = SWEEPS[args.command]
+    paths = experiments.save_run(cfg, name, results=runner(cfg))
     print(json.dumps(paths))
     return 0
 
@@ -58,7 +65,8 @@ def cmd_utility(args) -> int:
     rinr = cfg.duplex.rinr_db_sweep[0]
     out = {}
     for mode in (DuplexMode(m) for m in cfg.duplex.modes):
-        sol, status = experiments._solve_utility(cfg, tree, links, mode, rinr, delta)
+        caps = experiments._capacities(cfg, links, mode, rinr)
+        sol, status = experiments._solve_utility(cfg, tree, mode, caps, delta)
         out[mode.value] = json.loads(sol.to_json()) if sol else {"status": status}
     print(json.dumps(out, indent=2))
     return 0
@@ -89,20 +97,6 @@ def cmd_latency_gain(args) -> int:
     path = os.path.join(cfg.output.dir, "latency_gain.csv")
     analysis.write_line_sweep_csv(path, params, lambdas, delta, cfg.qos.eta)
     print(json.dumps({"csv": path}))
-    return 0
-
-
-def cmd_rate_sweep(args) -> int:
-    cfg = _resolved_config(args)
-    paths = experiments.save_run(cfg, "rate_sweep", results=experiments.run_rate_sweep(cfg))
-    print(json.dumps(paths))
-    return 0
-
-
-def cmd_delay_sweep(args) -> int:
-    cfg = _resolved_config(args)
-    paths = experiments.save_run(cfg, "delay_sweep", results=experiments.run_delay_sweep(cfg))
-    print(json.dumps(paths))
     return 0
 
 
@@ -142,12 +136,10 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     handlers = {
-        "min-delay": cmd_min_delay,
+        **dict.fromkeys(SWEEPS, cmd_sweep),
         "utility": cmd_utility,
         "kmax": cmd_kmax,
         "latency-gain": cmd_latency_gain,
-        "rate-sweep": cmd_rate_sweep,
-        "delay-sweep": cmd_delay_sweep,
         "validate-queues": cmd_validate_queues,
     }
     return handlers[args.command](args)

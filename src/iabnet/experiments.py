@@ -6,6 +6,11 @@ comparison), and writes figure-ready CSV tables plus a <name>.run.json
 manifest per experiment, so several experiments can share one output
 directory.
 
+Within a drop, each distinct problem is solved once: the utility sweeps key
+their solves on (mode, capacity vector, delta), so sweep points that leave a
+mode's capacities unchanged (half duplex across an RINR sweep) reuse the
+solve, and the min-delay sweep builds each mode's matrices once.
+
 Drops run serially; each owns an independent RNG substream keyed by
 (seed, drop index), so outputs are bit-identical for a fixed (config, seed)
 regardless of execution order.
@@ -22,7 +27,14 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import queueing
-from .channel import ArrayConfig, LinkBudget, RinrConfig, capacity_from_links, link_states
+from .channel import (
+    ArrayConfig,
+    LinkBudget,
+    RinrConfig,
+    capacity_from_links,
+    drop_ues,
+    link_states,
+)
 from .optimizer import (
     InfeasibleDelay,
     NumericalFailure,
@@ -42,7 +54,11 @@ from .topology import (
     tree_from_json,
     two_child_tree,
 )
-from .channel import drop_ues
+
+
+def _require(ok: bool, name: str, value, rule: str) -> None:
+    if not ok:
+        raise ValueError(f"config field {name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +69,11 @@ class TopologyConfig:
     spacing_m: float = 200.0
     ue_radius_m: float = 100.0
     tree_json: str | None = None  # path, for kind == "custom"
+
+    def __post_init__(self):
+        kinds = ("line", "two_child", "custom")
+        _require(self.kind in kinds, "topology.kind", self.kind, f"one of {kinds}")
+        _require(self.K >= 0, "topology.K", self.K, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -73,11 +94,21 @@ class QosConfig:
     lambda_min_pps: float | tuple[float, ...] = 0.0
     packet_bytes: int = 10000
 
+    def __post_init__(self):
+        _require(0.0 < self.eta < 1.0, "qos.eta", self.eta, "in (0, 1)")
+        _require(all(d > 0 for d in np.atleast_1d(self.delta_s)), "qos.delta_s",
+                 self.delta_s, "positive")
+
 
 @dataclass(frozen=True)
 class DuplexConfig:
     modes: tuple[str, ...] = ("hd", "fd")
     rinr_db_sweep: tuple[float, ...] = (-math.inf,)
+
+    def __post_init__(self):
+        modes = tuple(m.value for m in DuplexMode)
+        _require(all(m in modes for m in self.modes), "duplex.modes", self.modes,
+                 f"drawn from {modes}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +116,13 @@ class McConfig:
     n_drops: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        _require(self.n_drops >= 0, "mc.n_drops", self.n_drops, ">= 0")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str = "results"
-    formats: tuple[str, ...] = ("csv",)
 
 
 @dataclass(frozen=True)
@@ -216,10 +249,13 @@ def hop_sum_rates(tree: RoutingTree, lam: np.ndarray) -> dict[int, float]:
     return out
 
 
-def _solve_utility(cfg, tree, links, mode, rinr_db, delta_s):
-    caps = capacity_from_links(
+def _capacities(cfg, links, mode: DuplexMode, rinr_db: float) -> np.ndarray:
+    return capacity_from_links(
         links, mode, RinrConfig(rinr_db=rinr_db), _budget(cfg), _packet_bits(cfg)
     )
+
+
+def _solve_utility(cfg, tree, mode, caps, delta_s):
     mats = network_matrices(tree, mode, caps)
     inst = ProblemInstance(matrices=mats, eta=cfg.qos.eta, delta_s=delta_s)
     try:
@@ -246,25 +282,37 @@ def _gain_cell(num: float | None, den: float | None) -> tuple[str, bool]:
 # sweeps
 
 
-def run_rate_sweep(cfg: ExperimentConfig) -> list[DropResult]:
-    """Per-hop sum-rate and FD/HD rate gain versus residual self-interference."""
+def _utility_sweep(cfg: ExperimentConfig, axis: str) -> list[DropResult]:
+    """Per-hop sum rates and FD/HD rate gain along one axis, "rinr_db" or
+    "delta_s"; the other is held at its first value.
+
+    Per drop, each distinct (mode, capacity vector, delta) is solved once.
+    Keying on the capacities rather than on the RINR keeps the channel's rule
+    of which edges RINR degrades out of this module.
+    """
+    rinrs = list(cfg.duplex.rinr_db_sweep)
+    deltas = [float(d) for d in np.atleast_1d(cfg.qos.delta_s)]
+    if axis == "rinr_db":
+        points = [(r, r, deltas[0]) for r in rinrs]
+    else:
+        points = [(d, rinrs[0], d) for d in deltas]
+    hd, fd = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
     tree0 = base_tree(cfg)
-    delta = float(np.atleast_1d(cfg.qos.delta_s)[0])
     results = []
     for drop in range(cfg.mc.n_drops):
         tree, links = _drop_links(cfg, tree0, drop)
+        solved = {}
         rows = []
-        for rinr_db in cfg.duplex.rinr_db_sweep:
-            sols = {}
-            stats = {}
+        for value, rinr_db, delta in points:
+            rates, stats = {}, {}
             for mode in _modes(cfg):
-                sols[mode], stats[mode] = _solve_utility(cfg, tree, links, mode, rinr_db, delta)
-            hd, fd = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
-            rates = {
-                mode: hop_sum_rates(tree, s.lam) if (s := sols.get(mode)) else {}
-                for mode in sols
-            }
-            hops = sorted(set().union(*[r.keys() for r in rates.values()]) or {1})
+                caps = _capacities(cfg, links, mode, rinr_db)
+                key = (mode, caps.tobytes(), delta)
+                if key not in solved:
+                    solved[key] = _solve_utility(cfg, tree, mode, caps, delta)
+                sol, stats[mode] = solved[key]
+                rates[mode] = hop_sum_rates(tree, sol.lam) if sol else {}
+            hops = sorted(set().union(*rates.values()) or {1})
             for h in hops:
                 gain, both = _gain_cell(
                     rates.get(fd, {}).get(h), rates.get(hd, {}).get(h)
@@ -272,7 +320,7 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[DropResult]:
                 rows.append(
                     {
                         "drop": drop,
-                        "rinr_db": rinr_db,
+                        axis: value,
                         "hop": h,
                         "sum_rate_hd_pps": rates.get(hd, {}).get(h, ""),
                         "sum_rate_fd_pps": rates.get(fd, {}).get(h, ""),
@@ -284,46 +332,16 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[DropResult]:
                 )
         results.append(DropResult(drop=drop, seed=(cfg.mc.seed, drop), rows=rows))
     return results
+
+
+def run_rate_sweep(cfg: ExperimentConfig) -> list[DropResult]:
+    """Per-hop sum-rate and FD/HD rate gain versus residual self-interference."""
+    return _utility_sweep(cfg, "rinr_db")
 
 
 def run_delay_sweep(cfg: ExperimentConfig) -> list[DropResult]:
     """Per-hop rate gain versus the delay threshold, on shared drops."""
-    tree0 = base_tree(cfg)
-    deltas = [float(d) for d in np.atleast_1d(cfg.qos.delta_s)]
-    rinr_db = cfg.duplex.rinr_db_sweep[0]
-    results = []
-    for drop in range(cfg.mc.n_drops):
-        tree, links = _drop_links(cfg, tree0, drop)
-        rows = []
-        for delta in deltas:
-            sols, stats = {}, {}
-            for mode in _modes(cfg):
-                sols[mode], stats[mode] = _solve_utility(cfg, tree, links, mode, rinr_db, delta)
-            hd, fd = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
-            rates = {
-                mode: hop_sum_rates(tree, s.lam) if (s := sols.get(mode)) else {}
-                for mode in sols
-            }
-            hops = sorted(set().union(*[r.keys() for r in rates.values()]) or {1})
-            for h in hops:
-                gain, both = _gain_cell(
-                    rates.get(fd, {}).get(h), rates.get(hd, {}).get(h)
-                )
-                rows.append(
-                    {
-                        "drop": drop,
-                        "delta_s": delta,
-                        "hop": h,
-                        "sum_rate_hd_pps": rates.get(hd, {}).get(h, ""),
-                        "sum_rate_fd_pps": rates.get(fd, {}).get(h, ""),
-                        "rate_gain": gain,
-                        "both_feasible": both,
-                        "status_hd": stats.get(hd, ""),
-                        "status_fd": stats.get(fd, ""),
-                    }
-                )
-        results.append(DropResult(drop=drop, seed=(cfg.mc.seed, drop), rows=rows))
-    return results
+    return _utility_sweep(cfg, "delta_s")
 
 
 def run_min_delay_sweep(cfg: ExperimentConfig) -> list[DropResult]:
@@ -335,14 +353,14 @@ def run_min_delay_sweep(cfg: ExperimentConfig) -> list[DropResult]:
     results = []
     for drop in range(cfg.mc.n_drops):
         tree, links = _drop_links(cfg, tree0, drop)
+        mode_mats = [
+            (mode, network_matrices(tree, mode, _capacities(cfg, links, mode, rinr_db)))
+            for mode in _modes(cfg)
+        ]
         rows = []
         for lam_min in lambdas:
             per_mode: dict[DuplexMode, Solution] = {}
-            for mode in _modes(cfg):
-                caps = capacity_from_links(
-                    links, mode, RinrConfig(rinr_db=rinr_db), _budget(cfg), _packet_bits(cfg)
-                )
-                mats = network_matrices(tree, mode, caps)
+            for mode, mats in mode_mats:
                 sol = solve_min_delay_lp(
                     ProblemInstance(matrices=mats, eta=cfg.qos.eta, lambda_min_pps=lam_min)
                 )
@@ -403,13 +421,11 @@ def run_queue_validation(
     tree, links = _drop_links(cfg, tree0, 0)
     delta = float(np.atleast_1d(cfg.qos.delta_s)[0])
     rinr_db = cfg.duplex.rinr_db_sweep[0]
-    sol, status = _solve_utility(cfg, tree, links, mode, rinr_db, delta)
+    caps = _capacities(cfg, links, mode, rinr_db)
+    sol, status = _solve_utility(cfg, tree, mode, caps, delta)
     if sol is None:
         return {"status": status, "mode": mode.value}
 
-    caps = capacity_from_links(
-        links, mode, RinrConfig(rinr_db=rinr_db), _budget(cfg), _packet_bits(cfg)
-    )
     mats = network_matrices(tree, mode, caps)
     sim_rng = np.random.default_rng([cfg.mc.seed, 10_000])
     samples = queueing.simulate(mats, sol.lam, sol.mu, n_packets, sim_rng)

@@ -178,9 +178,7 @@ def closed_form_t_star(matrices: NetworkMatrices, lambda_min: float) -> tuple[fl
     return float(ratios[k]), k
 
 
-def solve_min_delay_lp(
-    instance: ProblemInstance, prune: bool = True, eta_for_delta: bool = True
-) -> Solution:
+def solve_min_delay_lp(instance: ProblemInstance, prune: bool = True) -> Solution:
     """Maximize t over (t, mu) with lambda pinned to lambda_min (its optimum).
 
     Constraints: 0 <= mu <= 1, G mu <= 1, and c_v mu_v - (F lambda)_v >= t*h_m
@@ -231,7 +229,7 @@ def solve_min_delay_lp(
     bottleneck = int(np.argmin(np.where(scheduled, slack, np.inf)))
     feasible = t_star > 0
     delta_star = None
-    if feasible and eta_for_delta:
+    if feasible:
         delta_star = min_feasible_delay(t_star, instance.eta)
     return Solution(
         status=SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
@@ -480,10 +478,7 @@ def solve_utility_max(
     util = instance.utility
 
     # quick necessary check via the per-hop LP relaxation
-    lp = solve_min_delay_lp(
-        ProblemInstance(matrices=m, eta=eta, lambda_min_pps=lambda_floor),
-        eta_for_delta=False,
-    )
+    lp = solve_min_delay_lp(ProblemInstance(matrices=m, eta=eta, lambda_min_pps=lambda_floor))
     zeta = -math.log1p(-eta) / delta
     if lp.t_star <= zeta:
         raise InfeasibleDelay(

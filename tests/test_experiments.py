@@ -3,11 +3,12 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iabnet import cli
+from iabnet import cli, experiments
 from iabnet.channel import RinrConfig, capacity_from_links
 from iabnet.experiments import (
     DuplexConfig,
@@ -19,6 +20,7 @@ from iabnet.experiments import (
     base_tree,
     hop_sum_rates,
     load_config,
+    run_delay_sweep,
     run_min_delay_sweep,
     run_queue_validation,
     run_rate_sweep,
@@ -28,6 +30,7 @@ from iabnet.experiments import _budget, _drop_links, _packet_bits
 from iabnet.topology import DuplexMode, line_network
 
 HD, FD = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def small_cfg(**overrides):
@@ -61,6 +64,20 @@ class TestConfig:
     def test_from_dict_rejects_unknown_section_by_name(self):
         with pytest.raises(ValueError, match="'duplx'"):
             ExperimentConfig.from_dict({"duplx": {"modes": ["fd"]}})
+
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("qos", "eta", 1.5),
+            ("qos", "delta_s", -1),
+            ("duplex", "modes", ["xd"]),
+            ("topology", "kind", "ring"),
+            ("mc", "n_drops", -3),
+        ],
+    )
+    def test_from_dict_rejects_out_of_range_by_name(self, section, name, value):
+        with pytest.raises(ValueError, match=rf"{section}\.{name}\b"):
+            ExperimentConfig.from_dict({section: {name: value}})
 
     def test_load_config(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -125,19 +142,39 @@ class TestAggregation:
 
 
 class TestRunners:
-    def test_rate_sweep_rows_and_trend(self):
-        cfg = small_cfg()
-        results = run_rate_sweep(cfg)
+    @pytest.mark.parametrize(
+        "runner, axis", [(run_rate_sweep, "rinr_db"), (run_delay_sweep, "delta_s")]
+    )
+    def test_rate_sweep_rows_and_trend(self, runner, axis):
+        cfg = small_cfg(
+            qos=QosConfig(delta_s=(2.0e-3, 4.0e-3)),
+            duplex=DuplexConfig(modes=("hd", "fd"), rinr_db_sweep=(-10.0, 0.0)),
+        )
+        results = runner(cfg)
         assert [r.drop for r in results] == [0, 1]
         assert results[0].seed == (123, 0)
+        values = cfg.duplex.rinr_db_sweep if axis == "rinr_db" else cfg.qos.delta_s
         for res in results:
+            assert {row[axis] for row in res.rows} == set(values)
             for row in res.rows:
                 assert set(row) == {
-                    "drop", "rinr_db", "hop", "sum_rate_hd_pps", "sum_rate_fd_pps",
+                    "drop", axis, "hop", "sum_rate_hd_pps", "sum_rate_fd_pps",
                     "rate_gain", "both_feasible", "status_hd", "status_fd",
                 }
                 if row["both_feasible"]:
                     assert float(row["rate_gain"]) > 0
+
+    def test_rate_sweep_solves_each_distinct_problem_once(self, monkeypatch):
+        # Half duplex ignores RINR, so each drop needs one HD solve and one FD
+        # solve per RINR value: 2 drops x (1 + 3) = 8.
+        calls = []
+        solve = experiments.solve_utility_max
+        monkeypatch.setattr(
+            experiments, "solve_utility_max", lambda inst: calls.append(inst) or solve(inst)
+        )
+        cfg = small_cfg(duplex=DuplexConfig(modes=("hd", "fd"), rinr_db_sweep=(-10.0, 0.0, 10.0)))
+        run_rate_sweep(cfg)
+        assert len(calls) == 8
 
     def test_min_delay_sweep_cross_checked(self):
         cfg = small_cfg()
@@ -227,3 +264,21 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert os.path.exists(out["csv"])
         assert os.path.exists(out["manifest"])
+
+    def test_cli_override_is_range_checked(self):
+        with pytest.raises(ValueError, match=r"mc\.n_drops"):
+            cli.main(["rate-sweep", "--drops", "-3"])
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_config_runs_its_subcommand(self, path, tmp_path, capsys):
+        load_config(str(path))
+        argv = [path.stem, "--config", str(path), "--drops", "1", "--out", str(tmp_path)]
+        if path.stem == "validate-queues":
+            argv += ["--packets", "5000"]
+        # the README's line capacities
+        argv += {
+            "kmax": ["--ra-pps", "2571.7", "--rb-pps", "8000"],
+            "latency-gain": ["--ra-pps", "2500", "--rb-pps", "7500"],
+        }.get(path.stem, [])
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
