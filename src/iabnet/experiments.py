@@ -428,12 +428,12 @@ def run_queue_validation(
 
     mats = network_matrices(tree, mode, caps)
     sim_rng = np.random.default_rng([cfg.mc.seed, 10_000])
-    samples = queueing.simulate(mats, sol.lam, sol.mu, n_packets, sim_rng)
+    deliveries = queueing.simulate(mats, sol.lam, sol.mu, n_packets, sim_rng)
 
-    delivery = queueing.delivery_probability(samples, mats.num_ue, delta)
+    delivery = queueing.delivery_probability(deliveries, mats.num_ue, delta)
     gaps = mats.C * sol.mu - mats.F @ sol.lam
     ks = {}
-    for edge, sojourns in queueing.per_queue_sojourns(samples, mats).items():
+    for edge, sojourns in queueing.per_queue_sojourns(deliveries, mats).items():
         stat = kstest(sojourns, lambda x, g=gaps[edge]: -np.expm1(-g * x)).statistic
         ks[int(edge)] = float(stat)
 
@@ -443,7 +443,7 @@ def run_queue_validation(
         "mode": mode.value,
         "eta": cfg.qos.eta,
         "delta_s": delta,
-        "n_packets": len(samples),
+        "n_packets": len(deliveries),
         "delivery_probability": [float(p) for p in delivery],
         "ks_distance_per_edge": ks,
         "constraint_report": constraint_report(inst, sol),

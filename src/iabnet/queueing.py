@@ -3,16 +3,20 @@
 Analytic pieces: the exponential per-hop sojourn CDF, the product-form CDF of
 the scaled worst-hop delay, and the log-domain left-hand side of the delivery
 probability constraint.  The event-driven simulator is the empirical oracle
-for all of them.
+for all of them: it returns the delivered packets as arrays (`Deliveries`),
+which `delivery_probability` and `per_queue_sojourns` reduce to the
+per-UE and per-edge quantities the analytic laws predict.
 """
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
+from array import array
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,22 +46,6 @@ class QueueSpec:
             raise UnstableQueue(
                 f"edge {self.edge}: service {self.service_rate} <= arrival {self.arrival_rate}"
             )
-
-
-@dataclass
-class DelaySample:
-    """Per-packet delays for one delivered packet."""
-
-    ue: int
-    hop_sojourns_s: list[float]
-
-    @property
-    def total_s(self) -> float:
-        return sum(self.hop_sojourns_s)
-
-    @property
-    def max_hop_s(self) -> float:
-        return max(self.hop_sojourns_s)
 
 
 def hop_delay_cdf(spec: QueueSpec, d: float) -> float:
@@ -104,177 +92,153 @@ def route_specs(matrices: NetworkMatrices, lam: np.ndarray, mu: np.ndarray, m: i
 # event-driven simulation
 
 
+@dataclass(frozen=True)
+class Deliveries:
+    """Delivered packets in order of delivery.
+
+    ue[i] is packet i's destination UE (int64, shape (n,)).  sojourns_s[i, k]
+    is its sojourn at hop k of that UE's route (float64, shape (n, H), H the
+    longest route); columns past the route's end are 0.
+    """
+
+    ue: np.ndarray
+    sojourns_s: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ue)
+
+    @property
+    def total_s(self) -> np.ndarray:
+        """End-to-end delay per packet, summed hop by hop from the first."""
+        total = self.sojourns_s[:, 0].copy()
+        for col in self.sojourns_s.T[1:]:
+            total += col
+        return total
+
+
 def simulate(
     matrices: NetworkMatrices,
     lam: np.ndarray,
     mu: np.ndarray,
     n_packets: int,
     rng: np.random.Generator,
-    split: str = "destination",
     warmup_frac: float = 0.1,
-    allow_unstable: bool = False,
-) -> list[DelaySample]:
-    """Simulate the queueing network and return per-packet hop sojourns.
+) -> Deliveries:
+    """Simulate the queueing network and return the delivered packets.
 
     Packets arrive at the donor as one Poisson stream per UE; each queue is
-    FIFO with exponential service at rate C_v * mu_v, and service times are
-    redrawn independently at every hop.  split selects how relays forward:
-    "destination" routes by the packet's destination tag, "probabilistic"
-    forwards with the stationary splitting probabilities (equivalent in
-    distribution on a tree).  The first warmup_frac of deliveries is dropped.
+    FIFO with exponential service at rate C_v * mu_v, service times are
+    redrawn independently at every hop, and relays forward by the packet's
+    destination.  The run stops after n_packets deliveries, and the first
+    warmup_frac of them is dropped.
+
+    Draw order: one exponential(1/sum(lam)) for the first arrival; per
+    arrival, one uniform for the UE (searched in the CDF Generator.choice
+    builds from lam/sum(lam), so the pick equals choice(p=...)), a service
+    draw if the UE's first queue was empty, then the next inter-arrival; per
+    departure, a service draw for the next packet in that queue, then one if
+    the forwarded packet finds its next queue empty.  Events are ordered by
+    (time, push order).  For a given generator state, every validation
+    report and criterion 8's values depend on this order and on the float
+    operations on times (t + svc, t - enter): changing either changes them.
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     arrivals = matrices.F @ lam
     service = matrices.C * mu
-    if not allow_unstable and np.any(service - arrivals <= 0):
+    if np.any(service - arrivals <= 0):
         bad = int(np.argmin(service - arrivals))
         raise UnstableQueue(
             f"edge {bad}: service {service[bad]:.6g} <= arrival {arrivals[bad]:.6g}"
         )
-    if split not in ("destination", "probabilistic"):
-        raise ValueError(f"unknown split mode {split!r}")
-
-    E = matrices.num_edges
-    routes = matrices.routes
-    # next_edge[l][m]: edge after l on route m (destination routing);
-    # children_of[l]: candidate outgoing edges after edge l, with probabilities
-    next_edge = [dict() for _ in range(E)]
-    first_edge = [r[0] for r in routes]
-    for m, r in enumerate(routes):
-        for i, l in enumerate(r[:-1]):
-            next_edge[l][m] = r[i + 1]
-
-    # outgoing edges per "location": location = edge just completed (or donor)
-    out_edges_donor = sorted({r[0] for r in routes})
-    out_after: list[list[int]] = [[] for _ in range(E)]
-    for m, r in enumerate(routes):
-        for i, l in enumerate(r[:-1]):
-            nxt = r[i + 1]
-            if nxt not in out_after[l]:
-                out_after[l].append(nxt)
-
     total_rate = float(lam.sum())
     if total_rate <= 0:
         raise ValueError("total arrival rate must be positive")
-    ue_probs = lam / total_rate
+    cdf = (lam / total_rate).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    inter = 1.0 / total_rate
+    scale = [float(1.0 / service[l]) for l in range(matrices.num_edges)]
+    routes = matrices.routes
+    first_edge = [r[0] for r in routes]
+    H = max(map(len, routes))
+    pad = [(0.0,) * (H - len(r)) for r in routes]
 
-    # per-queue FIFO state
-    queue: list[list] = [[] for _ in range(E)]
-    busy = [False] * E
+    heappush, heappop = heapq.heappush, heapq.heappop
+    exponential, uniform = rng.exponential, rng.random
+    # FIFO queues of packets [ue, enter time, sojourn at hop 0, hop 1, ...];
+    # heap entries (time, seq, edge), edge -1 marking the next arrival
+    queues = [deque() for _ in range(matrices.num_edges)]
+    heap = [(exponential(inter), 0, -1)]
+    seq = 1
+    ue_out, soj_out = array("q"), array("d")
+    n_out, n_target = 0, int(n_packets)
 
-    t = 0.0
-    seq = 0
-    events: list[tuple[float, int, str, tuple]] = []
-
-    def push(time, kind, payload):
-        nonlocal seq
-        heapq.heappush(events, (time, seq, kind, payload))
-        seq += 1
-
-    def start_service(l, time):
-        pkt = queue[l][0]
-        busy[l] = True
-        svc = rng.exponential(1.0 / service[l])
-        push(time + svc, "depart", (l,))
-
-    def enqueue(l, pkt, time):
-        pkt["enter"] = time
-        queue[l].append(pkt)
-        if not busy[l]:
-            start_service(l, time)
-
-    delivered: list[DelaySample] = []
-    n_target = int(n_packets)
-
-    def _pick_donor_edge():
-        # stationary split at the donor across its outgoing queues
-        w = arrivals[out_edges_donor]
-        return int(rng.choice(out_edges_donor, p=w / w.sum()))
-
-    def inject(time):
-        if split == "destination":
-            m = int(rng.choice(len(ue_probs), p=ue_probs))
-            enqueue(first_edge[m], {"ue": m, "sojourns": []}, time)
+    while n_out < n_target:
+        t, _, l = heappop(heap)
+        if l < 0:
+            m = bisect_right(cdf, uniform())
+            l = first_edge[m]
+            q = queues[l]
+            q.append([m, t])
+            if len(q) == 1:
+                heappush(heap, (t + exponential(scale[l]), seq, l))
+                seq += 1
+            heappush(heap, (t + exponential(inter), seq, -1))
+            seq += 1
+            continue
+        q = queues[l]
+        pkt = q.popleft()
+        pkt.append(t - pkt[1])
+        if q:
+            heappush(heap, (t + exponential(scale[l]), seq, l))
+            seq += 1
+        m = pkt[0]
+        route = routes[m]
+        hop = len(pkt) - 2
+        if hop < len(route):
+            l = route[hop]
+            pkt[1] = t
+            q = queues[l]
+            q.append(pkt)
+            if len(q) == 1:
+                heappush(heap, (t + exponential(scale[l]), seq, l))
+                seq += 1
         else:
-            enqueue(_pick_donor_edge(), {"ue": None, "sojourns": []}, time)
+            ue_out.append(m)
+            soj_out.extend(pkt[2:])
+            soj_out.extend(pad[m])
+            n_out += 1
 
-    push(rng.exponential(1.0 / total_rate), "arrive", ())
-
-    while events and len(delivered) < n_target:
-        t, _, kind, payload = heapq.heappop(events)
-        if kind == "arrive":
-            inject(t)
-            push(t + rng.exponential(1.0 / total_rate), "arrive", ())
-        else:
-            (l,) = payload
-            pkt = queue[l].pop(0)
-            busy[l] = False
-            pkt["sojourns"].append(t - pkt["enter"])
-            if queue[l]:
-                start_service(l, t)
-            if split == "destination":
-                nxt = next_edge[l].get(pkt["ue"])
-            else:
-                nxt = _probabilistic_next(l, out_after, arrivals, rng)
-            if nxt is None:
-                ue = pkt["ue"] if pkt["ue"] is not None else _ue_of_access_edge(matrices, l)
-                delivered.append(DelaySample(ue=ue, hop_sojourns_s=pkt["sojourns"]))
-            else:
-                enqueue(nxt, pkt, t)
-
-    n_skip = int(warmup_frac * len(delivered))
-    return delivered[n_skip:]
+    n_skip = int(warmup_frac * n_out)
+    return Deliveries(
+        ue=np.frombuffer(ue_out, dtype=np.int64)[n_skip:].copy(),
+        sojourns_s=np.frombuffer(soj_out, dtype=np.float64).reshape(-1, H)[n_skip:].copy(),
+    )
 
 
-def _probabilistic_next(l, out_after, arrivals, rng):
-    outs = out_after[l]
-    access_rate = arrivals[l] - sum(arrivals[o] for o in outs)
-    if not outs:
-        return None
-    # exit (deliver at this BS's UE side) vs forward deeper
-    weights = np.array([max(access_rate, 0.0)] + [arrivals[o] for o in outs])
-    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
-    return None if idx == 0 else outs[idx - 1]
+def delivery_probability(deliveries: Deliveries, num_ue: int, delta_s: float) -> np.ndarray:
+    """Empirical P[total delay <= delta] per UE (NaN for a UE never delivered)."""
+    counts = np.bincount(deliveries.ue, minlength=num_ue)
+    hits = np.bincount(deliveries.ue[deliveries.total_s <= delta_s], minlength=num_ue)
+    return np.where(counts > 0, hits / np.maximum(counts, 1), np.nan)
 
 
-def _ue_of_access_edge(matrices: NetworkMatrices, l: int) -> int:
-    # access edge serves exactly one UE whose route ends at l
-    for m, r in enumerate(matrices.routes):
-        if r[-1] == l:
-            return m
-    raise ValueError(f"edge {l} is not the last hop of any route")
+def per_queue_sojourns(deliveries: Deliveries, matrices: NetworkMatrices) -> dict[int, np.ndarray]:
+    """Group hop sojourn times by edge index, each in order of delivery.
 
-
-def delivery_probability(samples: Iterable[DelaySample], num_ue: int, delta_s: float) -> np.ndarray:
-    """Empirical P[total delay <= delta] per UE."""
-    hits = np.zeros(num_ue)
-    counts = np.zeros(num_ue)
-    for s in samples:
-        counts[s.ue] += 1
-        if s.total_s <= delta_s:
-            hits[s.ue] += 1
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, hits / np.maximum(counts, 1), np.nan)
-
-
-def per_queue_sojourns(
-    samples: Iterable[DelaySample], matrices: NetworkMatrices
-) -> dict[int, np.ndarray]:
-    """Group hop sojourn times by edge index."""
-    acc: dict[int, list[float]] = {}
-    for s in samples:
-        for hop, soj in zip(matrices.routes[s.ue], s.hop_sojourns_s):
-            acc.setdefault(hop, []).append(soj)
-    return {l: np.asarray(v) for l, v in acc.items()}
-
-
-def write_delay_csv(samples: Iterable[DelaySample], path) -> None:
-    """Export: ue_id, hop, sojourn_s, total_s."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ue_id", "hop", "sojourn_s", "total_s"])
-        for s in samples:
-            total = s.total_s
-            for hop, soj in enumerate(s.hop_sojourns_s):
-                writer.writerow([s.ue, hop, f"{soj:.9g}", f"{total:.9g}"])
+    Keys come in order of first use: UEs by first delivery, each route's
+    edges from the donor out.
+    """
+    ue, sojourns = deliveries.ue, deliveries.sojourns_s
+    ues, first = np.unique(ue, return_index=True)
+    out: dict[int, np.ndarray] = {}
+    for m in ues[np.argsort(first)]:
+        for l in matrices.routes[m]:
+            if l in out:
+                continue
+            # hop index of edge l on each UE's route, -1 where it is not on it
+            hop = np.array([r.index(l) if l in r else -1 for r in matrices.routes])[ue]
+            rows = np.flatnonzero(hop >= 0)
+            out[l] = sojourns[rows, hop[rows]]
+    return out
