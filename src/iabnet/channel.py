@@ -8,14 +8,15 @@ seed reproduces channels, LOS states and capacities bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import DONOR, DuplexMode, RoutingTree
+from .topology import DuplexMode, RoutingTree
 
 SPEED_OF_LIGHT = 299792458.0
+# half-width of the ray angles around their cluster center
+RAY_SPREAD_RAD = math.radians(5.0)
 
 
 class OutOfModelRange(ValueError):
@@ -55,48 +56,20 @@ class RinrConfig:
         return 10.0 ** (self.rinr_db / 10.0)
 
 
-@dataclass(frozen=True)
-class AngularSpread:
-    """Cluster centers uniform on [-pi/2, pi/2]; rays within +/- ray_spread."""
-
-    ray_spread_rad: float = math.radians(5.0)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    H: np.ndarray
-    n_cluster: int
-    n_ray: int
-    ray_gains: np.ndarray
-    aoa: np.ndarray
-    aod: np.ndarray
-
-
-def ula_response(n_antennas: int, angle: float) -> np.ndarray:
-    """Half-wavelength ULA steering vector, unnormalized (norm sqrt(n))."""
-    if n_antennas < 1:
-        raise ValueError("need at least one antenna")
-    n = np.arange(n_antennas)
-    return np.exp(1j * np.pi * n * np.sin(angle))
-
-
 def dft_codebook(n: int) -> np.ndarray:
     """n x n DFT matrix with unit-norm columns (beams)."""
     k = np.arange(n)
     return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
-def gen_channel(
-    n_tx: int,
-    n_rx: int,
-    rng: np.random.Generator,
-    spread: AngularSpread = AngularSpread(),
-) -> ChannelRealization:
-    """Draw a clustered multipath channel matrix.
+def gen_channel(n_tx: int, n_rx: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a clustered multipath channel matrix H (n_rx x n_tx).
 
-    Cluster and ray counts are uniform on {1..6} and {1..10}; every ray carries
-    a unit-variance complex normal gain, and the 1/sqrt(n_ray*n_cluster) scale
-    keeps E[||H||_F^2] = n_tx * n_rx.
+    Cluster and ray counts are uniform on {1..6} and {1..10}; cluster centers
+    are uniform on [-pi/2, pi/2] and rays lie within +/- RAY_SPREAD_RAD of
+    them.  Every ray carries a unit-variance complex normal gain, and the
+    1/sqrt(n_ray*n_cluster) scale keeps E[||H||_F^2] = n_tx * n_rx.  The
+    half-wavelength ULA steering vectors are exp(j pi n sin(angle)).
     """
     n_cluster = int(rng.integers(1, 7))
     n_ray = int(rng.integers(1, 11))
@@ -104,7 +77,7 @@ def gen_channel(
              1j * rng.standard_normal((n_cluster, n_ray))) / np.sqrt(2.0)
     centers_aoa = rng.uniform(-np.pi / 2, np.pi / 2, size=n_cluster)
     centers_aod = rng.uniform(-np.pi / 2, np.pi / 2, size=n_cluster)
-    s = spread.ray_spread_rad
+    s = RAY_SPREAD_RAD
     aoa = centers_aoa[:, None] + rng.uniform(-s, s, size=(n_cluster, n_ray))
     aod = centers_aod[:, None] + rng.uniform(-s, s, size=(n_cluster, n_ray))
 
@@ -112,9 +85,7 @@ def gen_channel(
     a_tx = np.exp(1j * np.pi * np.arange(n_tx)[:, None] * np.sin(aod.ravel())[None, :])
     H = (a_rx * gains.ravel()[None, :]) @ a_tx.conj().T
     H /= np.sqrt(n_ray * n_cluster)
-    return ChannelRealization(
-        H=H, n_cluster=n_cluster, n_ray=n_ray, ray_gains=gains, aoa=aoa, aod=aod
-    )
+    return H
 
 
 def beam_align(H: np.ndarray, n_tx: int, n_rx: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -180,22 +151,6 @@ def _los_probability_uma(d2d_m: float, h_ue_m: float) -> float:
     return min(p, 1.0)
 
 
-def fixed_exponent_pathloss(
-    pl0_db: float = 61.34, exponent: float = 2.0, ref_m: float = 1.0
-) -> Callable:
-    """Simple log-distance model with the pathloss_uma call signature.
-
-    Default pl0 is free space at 1 m, 28 GHz.  Meant for unit tests and as an
-    example of the pluggable pathloss interface.
-    """
-
-    def model(d2d_m, h_bs_m, h_ue_m, carrier_hz, rng, force_los=None):
-        d3d = math.hypot(max(d2d_m, ref_m), h_bs_m - h_ue_m)
-        return pl0_db + 10.0 * exponent * math.log10(d3d / ref_m), True
-
-    return model
-
-
 def snr(budget: LinkBudget, bf_gain: float, pathloss_db: float) -> float:
     """Linear SNR: transmit power through pathloss and beamforming gain over
     thermal noise (noise PSD integrated over the bandwidth plus noise figure).
@@ -249,8 +204,6 @@ def link_states(
     budget: LinkBudget,
     rng: np.random.Generator,
     arrays: ArrayConfig = ArrayConfig(),
-    spread: AngularSpread = AngularSpread(),
-    pathloss_model: Callable = pathloss_uma,
 ) -> list[LinkState]:
     """Draw channel, beams, LOS and pathloss for every edge of a positioned tree.
 
@@ -268,9 +221,9 @@ def link_states(
         cx, cy = tree.positions[child]
         d2d = math.hypot(cx - px, cy - py)
         h_rx = arrays.h_bs_m if is_backhaul else arrays.h_ue_m
-        pl_db, los = pathloss_model(d2d, arrays.h_bs_m, h_rx, budget.carrier_hz, rng)
-        ch = gen_channel(n_tx, n_rx, rng, spread)
-        _, _, gain = beam_align(ch.H, n_tx, n_rx)
+        pl_db, los = pathloss_uma(d2d, arrays.h_bs_m, h_rx, budget.carrier_hz, rng)
+        H = gen_channel(n_tx, n_rx, rng)
+        _, _, gain = beam_align(H, n_tx, n_rx)
         states.append(
             LinkState(
                 edge=tree.edge_index(child),
@@ -301,32 +254,6 @@ def capacity_from_links(
             s = sinr_fd(s, rinr.rinr_linear)
         c[ls.edge] = capacity_pps(budget.bandwidth_hz, s, packet_bits)
     return c
-
-
-def link_records(
-    links: list[LinkState],
-    mode: DuplexMode,
-    rinr: RinrConfig,
-    budget: LinkBudget,
-    packet_bits: float,
-) -> list[dict]:
-    """JSON-ready per-link dump: {edge, snr_db, rinr_db, sinr_db, capacity_pps, los}."""
-    out = []
-    caps = capacity_from_links(links, mode, rinr, budget, packet_bits)
-    for ls in links:
-        fd_hit = mode is DuplexMode.FULL_DUPLEX and ls.is_backhaul
-        s = sinr_fd(ls.snr_linear, rinr.rinr_linear) if fd_hit else ls.snr_linear
-        out.append(
-            {
-                "edge": ls.edge,
-                "snr_db": 10 * math.log10(ls.snr_linear) if ls.snr_linear > 0 else -math.inf,
-                "rinr_db": rinr.rinr_db if fd_hit else -math.inf,
-                "sinr_db": 10 * math.log10(s) if s > 0 else -math.inf,
-                "capacity_pps": float(caps[ls.edge]),
-                "los": ls.los,
-            }
-        )
-    return out
 
 
 def drop_ues(

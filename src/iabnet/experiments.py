@@ -434,7 +434,7 @@ def run_queue_validation(
     gaps = mats.C * sol.mu - mats.F @ sol.lam
     ks = {}
     for edge, sojourns in queueing.per_queue_sojourns(deliveries, mats).items():
-        stat = kstest(sojourns, lambda x, g=gaps[edge]: -np.expm1(-g * x)).statistic
+        stat = kstest(sojourns, lambda x, g=gaps[edge]: queueing.sojourn_cdf(g, x)).statistic
         ks[int(edge)] = float(stat)
 
     inst = ProblemInstance(matrices=mats, eta=cfg.qos.eta, delta_s=delta)

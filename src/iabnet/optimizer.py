@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linprog
 
+from .queueing import route_log_cdf
 from .topology import NetworkMatrices
 
 
@@ -715,11 +716,6 @@ def constraint_report(instance: ProblemInstance, sol: Solution) -> dict:
         "stability_gap": float(np.min(service - arrivals)),
     }
     if instance.delta_s is not None:
-        worst = np.inf
-        for mi in range(m.num_ue):
-            x = (service[list(m.routes[mi])] - arrivals[list(m.routes[mi])]) * (
-                instance.delta_s / m.h[mi]
-            )
-            worst = min(worst, float(np.sum(_psi(x)) - math.log(instance.eta)))
-        report["latency_margin"] = worst
+        lhs = route_log_cdf(m, service - arrivals, instance.delta_s)
+        report["latency_margin"] = float(np.min(lhs - math.log(instance.eta)))
     return report

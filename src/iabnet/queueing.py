@@ -1,22 +1,21 @@
 """Queueing view of the backhaul tree: independent M/M/1 queues per edge.
 
-Analytic pieces: the exponential per-hop sojourn CDF, the product-form CDF of
-the scaled worst-hop delay, and the log-domain left-hand side of the delivery
-probability constraint.  The event-driven simulator is the empirical oracle
-for all of them: it returns the delivered packets as arrays (`Deliveries`),
-which `delivery_probability` and `per_queue_sojourns` reduce to the
-per-UE and per-edge quantities the analytic laws predict.
+The analytic law, in array form: `sojourn_cdf` is the exponential per-hop
+sojourn CDF, and `route_log_cdf` sums its log along every route at once,
+giving each UE's delivery-probability left-hand side (the product-form CDF of
+the scaled worst-hop delay).  The event-driven simulator is the empirical
+oracle for both: it returns the delivered packets as arrays (`Deliveries`),
+which `delivery_probability` and `per_queue_sojourns` reduce to the per-UE
+and per-edge quantities the law predicts.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,69 +26,30 @@ class UnstableQueue(ValueError):
     """Service rate does not exceed arrival rate."""
 
 
-@dataclass(frozen=True)
-class QueueSpec:
-    """Single edge queue: service at capacity*time-fraction, Poisson input."""
-
-    edge: int
-    service_rate: float
-    arrival_rate: float
-
-    @property
-    def gap(self) -> float:
-        return self.service_rate - self.arrival_rate
-
-    def check_stable(self) -> None:
-        if self.arrival_rate < 0:
-            raise ValueError(f"edge {self.edge}: negative arrival rate")
-        if self.gap <= 0:
-            raise UnstableQueue(
-                f"edge {self.edge}: service {self.service_rate} <= arrival {self.arrival_rate}"
-            )
+def sojourn_cdf(gap, x):
+    """P[sojourn <= x] at an M/M/1 queue whose service rate exceeds its
+    arrival rate by gap: the exponential law 1 - exp(-gap * x)."""
+    return -np.expm1(-gap * x)
 
 
-def hop_delay_cdf(spec: QueueSpec, d: float) -> float:
-    """P[sojourn <= d] for one M/M/1 queue: 1 - exp(-(service-arrival)*d)."""
-    spec.check_stable()
-    if d < 0:
-        raise ValueError("delay must be nonnegative")
-    return -math.expm1(-spec.gap * d)
+def route_log_cdf(matrices: NetworkMatrices, gap: np.ndarray, delta_s: float) -> np.ndarray:
+    """Per UE m, log P[h_m * (worst hop sojourn on route m) <= delta_s].
 
-
-def route_max_delay_cdf(route_specs: Sequence[QueueSpec], h_m: int, d: float) -> float:
-    """CDF of h_m * (worst per-hop sojourn) on a route, evaluated at d.
-
-    Independence of the per-hop sojourns makes this the product of per-hop
-    exponential CDFs at d / h_m.
+    The hops are independent M/M/1 queues (Jackson's product form), so this is
+    the sum over the route of log sojourn_cdf(gap_v, delta_s / h_m), with gap
+    the per-edge service minus arrival rate.  The delivery constraint of UE m
+    holds iff it is >= log(eta).
     """
-    p = 1.0
-    for spec in route_specs:
-        p *= hop_delay_cdf(spec, d / h_m)
-    return p
-
-
-def latency_constraint_lhs(route_specs: Sequence[QueueSpec], h_m: int, delta: float) -> float:
-    """Sum of log(1 - exp(-gap * delta / h_m)) along the route.
-
-    The delivery-probability constraint holds iff this is >= log(eta).
-    """
-    total = 0.0
-    for spec in route_specs:
-        spec.check_stable()
-        x = spec.gap * delta / h_m
-        total += math.log(-math.expm1(-x))
-    return total
-
-
-def route_specs(matrices: NetworkMatrices, lam: np.ndarray, mu: np.ndarray, m: int) -> list[QueueSpec]:
-    """QueueSpecs along UE m's route at operating point (lam, mu)."""
-    arrivals = matrices.F @ lam
-    service = matrices.C * mu
-    return [QueueSpec(l, service[l], arrivals[l]) for l in matrices.routes[m]]
+    ue, edge = np.nonzero(matrices.F.T)
+    logs = np.log(sojourn_cdf(gap[edge], delta_s / matrices.h[ue]))
+    return np.bincount(ue, logs, matrices.num_ue)
 
 
 # ---------------------------------------------------------------------------
 # event-driven simulation
+
+# share of the delivered packets dropped from the front of a simulated run
+WARMUP_FRAC = 0.1
 
 
 @dataclass(frozen=True)
@@ -122,7 +82,6 @@ def simulate(
     mu: np.ndarray,
     n_packets: int,
     rng: np.random.Generator,
-    warmup_frac: float = 0.1,
 ) -> Deliveries:
     """Simulate the queueing network and return the delivered packets.
 
@@ -130,7 +89,7 @@ def simulate(
     FIFO with exponential service at rate C_v * mu_v, service times are
     redrawn independently at every hop, and relays forward by the packet's
     destination.  The run stops after n_packets deliveries, and the first
-    warmup_frac of them is dropped.
+    WARMUP_FRAC of them is dropped.
 
     Draw order: one exponential(1/sum(lam)) for the first arrival; per
     arrival, one uniform for the UE (searched in the CDF Generator.choice
@@ -210,7 +169,7 @@ def simulate(
             soj_out.extend(pad[m])
             n_out += 1
 
-    n_skip = int(warmup_frac * n_out)
+    n_skip = int(WARMUP_FRAC * n_out)
     return Deliveries(
         ue=np.frombuffer(ue_out, dtype=np.int64)[n_skip:].copy(),
         sojourns_s=np.frombuffer(soj_out, dtype=np.float64).reshape(-1, H)[n_skip:].copy(),

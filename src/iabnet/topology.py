@@ -144,17 +144,6 @@ class NetworkMatrices:
     def num_ue(self) -> int:
         return self.F.shape[1]
 
-    def with_capacities(self, capacities: np.ndarray) -> "NetworkMatrices":
-        c = np.asarray(capacities, dtype=float)
-        if c.shape != (self.num_edges,):
-            raise ValueError(f"expected {self.num_edges} capacities, got {c.shape}")
-        if np.any(c <= 0):
-            raise ValueError("all edge capacities must be strictly positive")
-        return NetworkMatrices(
-            F=self.F, G=self.G, C=c, h=self.h, h_tilde=self.h_tilde,
-            routes=self.routes, mode=self.mode,
-        )
-
 
 def build_tree(
     parent_map: Mapping[int, int] | Iterable[tuple[int, int]],
@@ -328,6 +317,8 @@ def network_matrices(
     c = np.asarray(capacities, dtype=float)
     if c.ndim == 0:
         c = np.full(tree.num_edges, float(c))
+    if c.shape != (tree.num_edges,):
+        raise ValueError(f"expected {tree.num_edges} edge capacities, got shape {c.shape}")
     if np.any(c <= 0):
         raise ValueError("all edge capacities must be strictly positive")
     routes = tuple(tree.route(ue) for ue in tree.ue_ids)

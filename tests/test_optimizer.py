@@ -25,6 +25,7 @@ from iabnet.optimizer import (
     solve_min_delay_lp,
     solve_utility_max,
 )
+from iabnet.queueing import route_log_cdf
 from iabnet.topology import DuplexMode, line_network, network_matrices
 
 from conftest import feasible_lambda_upper, random_instance
@@ -36,6 +37,17 @@ def _feasible_delta(matrices, eta=0.9, slack=4.0):
     """Delay threshold comfortably inside the delivery-probability region."""
     t0, _ = closed_form_t_star(matrices, 0.0)
     return slack * (-math.log1p(-eta)) / t0
+
+
+def _per_ue_latency_margin(inst, lam, mu):
+    """Reference: min over UEs of the route's psi sum minus log(eta), one UE at a time."""
+    m = inst.matrices
+    gap = m.C * mu - m.F @ lam
+    worst = np.inf
+    for mi, route in enumerate(m.routes):
+        x = gap[list(route)] * (inst.delta_s / m.h[mi])
+        worst = min(worst, float(np.sum(_psi(x)) - math.log(inst.eta)))
+    return worst
 
 
 class TestMinFeasibleDelay:
@@ -148,6 +160,9 @@ class TestUtilityMax:
         assert rep["mu_lower"] >= -1e-8
         assert rep["stability_gap"] > 0
         assert rep["latency_margin"] >= -1e-8
+        # routes here have at most 5 hops; np.sum adds fewer than 8 terms in
+        # order, so the array law must reproduce the per-UE loop bit for bit
+        assert rep["latency_margin"] == _per_ue_latency_margin(inst, sol.lam, sol.mu)
 
     def test_tight_delay_is_infeasible(self):
         m = network_matrices(line_network(3, 1), HD, 3000.0)
@@ -241,6 +256,26 @@ class TestLatencyGeometry:
         np.testing.assert_allclose(grad, want_grad, rtol=1e-10)
         np.testing.assert_allclose(H, want_H, rtol=1e-10)
         np.testing.assert_allclose(Jg, want_Jg, rtol=1e-10)
+
+    @pytest.mark.parametrize("mode", [HD, FD])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constraint_values_equal_route_law(self, mode, seed):
+        # the solver's z-space constraint and the queueing law in gap space
+        # agree at interior points: route arguments x = gap * delta / h_m in
+        # [0.05, 3 * h_tilde / h_m], so no value is near 0 or cancels
+        rng = np.random.default_rng(500 + seed)
+        _, m = random_instance(rng, mode)
+        delta, log_eta = 0.01, math.log(0.9)
+        lam = rng.uniform(1.0, 100.0, m.num_ue)
+        gap = 10.0 ** rng.uniform(math.log10(0.05), math.log10(3.0), m.num_edges) * m.h_tilde / delta
+        mu = (m.F @ lam + gap) / m.C
+        g, _ = _LatencyGeometry(m, delta).eval(np.concatenate((lam, mu)), log_eta)
+        gap = m.C * mu - m.F @ lam
+        law = route_log_cdf(m, gap, delta)
+        np.testing.assert_allclose(g + log_eta, law, rtol=1e-12)
+        # and bit for bit the per-UE sums the latency margin was computed from
+        want = [np.sum(_psi(gap[list(r)] * (delta / m.h[i]))) for i, r in enumerate(m.routes)]
+        assert np.array_equal(law, want)
 
     def test_nonpositive_gap_rejected(self):
         m = network_matrices(line_network(1, 1), HD, 1000.0)

@@ -1,4 +1,4 @@
-"""Analytic per-queue delay laws and the event-driven network simulator."""
+"""The array M/M/1 delay law and the event-driven network simulator."""
 
 import heapq
 import json
@@ -21,15 +21,12 @@ from iabnet.experiments import (
 )
 from iabnet.queueing import (
     Deliveries,
-    QueueSpec,
     UnstableQueue,
     delivery_probability,
-    hop_delay_cdf,
-    latency_constraint_lhs,
     per_queue_sojourns,
-    route_max_delay_cdf,
-    route_specs,
+    route_log_cdf,
     simulate,
+    sojourn_cdf,
 )
 from iabnet.topology import DuplexMode, line_network, network_matrices
 
@@ -40,10 +37,9 @@ def _single_queue_matrices(capacity=1000.0):
     return network_matrices(line_network(0, 1), HD, capacity)
 
 
-class TestAnalyticLaws:
-    def test_hop_cdf_value(self):
-        spec = QueueSpec(edge=0, service_rate=1000.0, arrival_rate=900.0)
-        assert hop_delay_cdf(spec, 0.01) == pytest.approx(1 - math.exp(-1.0))
+class TestArrayLaw:
+    def test_sojourn_cdf_value(self):
+        assert sojourn_cdf(100.0, 0.01) == pytest.approx(1 - math.exp(-1.0))
 
     @given(
         st.floats(1.0, 1e4),
@@ -51,37 +47,34 @@ class TestAnalyticLaws:
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
     )
-    def test_hop_cdf_monotone_in_delay(self, service, rho, d1, d2):
-        spec = QueueSpec(0, service, rho * service)
+    def test_sojourn_cdf_monotone_in_delay(self, service, rho, d1, d2):
+        gap = service - rho * service
         lo, hi = sorted((d1, d2))
-        assert 0.0 <= hop_delay_cdf(spec, lo) <= hop_delay_cdf(spec, hi) <= 1.0
+        assert 0.0 <= sojourn_cdf(gap, lo) <= sojourn_cdf(gap, hi) <= 1.0
 
-    def test_unstable_queue_raises(self):
-        with pytest.raises(UnstableQueue):
-            hop_delay_cdf(QueueSpec(0, 100.0, 100.0), 0.1)
+    def test_route_log_cdf_is_sum_of_hop_logs(self):
+        m, lam, mu = _line_1_1_hd()
+        gap = m.C * mu - m.F @ lam
+        delta = 0.004
+        got = route_log_cdf(m, gap, delta)
+        assert got.shape == (m.num_ue,)
+        for ue, route in enumerate(m.routes):
+            hops = [math.log(sojourn_cdf(gap[l], delta / len(route))) for l in route]
+            assert got[ue] == pytest.approx(sum(hops), rel=1e-14)
+        # the 2-hop UE's route CDF is the product of its per-hop CDFs at delta/2
+        assert math.exp(got[1]) == pytest.approx(
+            sojourn_cdf(gap[0], delta / 2) * sojourn_cdf(gap[2], delta / 2), rel=1e-12)
 
-    def test_route_cdf_is_product_of_hops(self):
-        specs = [QueueSpec(0, 800.0, 300.0), QueueSpec(1, 900.0, 500.0)]
-        d = 0.004
-        expected = hop_delay_cdf(specs[0], d / 2) * hop_delay_cdf(specs[1], d / 2)
-        assert route_max_delay_cdf(specs, 2, d) == pytest.approx(expected)
-
-    def test_constraint_lhs_is_log_of_route_cdf(self):
-        specs = [QueueSpec(0, 800.0, 300.0), QueueSpec(1, 900.0, 500.0)]
-        lhs = latency_constraint_lhs(specs, 2, 0.004)
-        assert math.exp(lhs) == pytest.approx(route_max_delay_cdf(specs, 2, 0.004))
-
-    def test_route_specs_pull_operating_point(self):
-        m = network_matrices(line_network(1, 1), HD, np.array([500.0, 400.0, 300.0]))
-        lam = np.array([50.0, 60.0])
-        mu = np.array([0.9, 0.5, 0.6])
-        deepest = 1  # UE behind the relay: route (backhaul, relay access)
-        specs = route_specs(m, lam, mu, deepest)
-        assert [s.edge for s in specs] == list(m.routes[deepest])
-        arrivals = m.F @ lam
-        for s in specs:
-            assert s.service_rate == pytest.approx(m.C[s.edge] * mu[s.edge])
-            assert s.arrival_rate == pytest.approx(arrivals[s.edge])
+    def test_simulated_delivery_meets_route_law(self):
+        # 2-hop line: UE 0 on the donor (edge 1), UE 1 behind the relay (edges
+        # 0, 2).  h * (worst hop) bounds the end-to-end delay from above, so the
+        # law is a lower bound on the empirical delivery probability.
+        m, lam, mu = _line_1_1_hd()
+        gap = m.C * mu - m.F @ lam
+        deliveries = simulate(m, lam, mu, 60_000, np.random.default_rng(14))
+        for delta in (4e-3, 1.6e-2, 6e-2):
+            empirical = delivery_probability(deliveries, m.num_ue, delta)
+            assert np.all(empirical >= np.exp(route_log_cdf(m, gap, delta)) - 0.02)
 
 
 class TestSimulator:
@@ -136,7 +129,7 @@ class TestSimulator:
         deliveries = simulate(m, lam, mu, 80_000, np.random.default_rng(12))
         delta = 0.005
         p = delivery_probability(deliveries, 1, delta)[0]
-        assert p == pytest.approx(1 - math.exp(-400.0 * delta), abs=0.02)
+        assert p == pytest.approx(sojourn_cdf(400.0, delta), abs=0.02)
 
     def test_per_queue_sojourns_cover_all_edges(self):
         m = network_matrices(line_network(1, 1), HD, 2000.0)

@@ -117,11 +117,16 @@ class TestMatrices:
 
     def test_capacity_validation(self):
         tree = line_network(1, 1)
-        m = network_matrices(tree, HD, 100.0)
-        with pytest.raises(ValueError):
-            m.with_capacities(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            m.with_capacities(np.zeros(m.num_edges))
+        with pytest.raises(ValueError, match="strictly positive"):
+            network_matrices(tree, HD, np.zeros(tree.num_edges))
+        with pytest.raises(ValueError, match="strictly positive"):
+            network_matrices(tree, HD, 0.0)
+
+    @pytest.mark.parametrize("caps", [np.array([1e3, 2e3]), np.full(4, 1e3), np.ones((3, 1))])
+    def test_capacity_vector_of_wrong_shape_rejected(self, caps):
+        # line K=1 w=1 has 3 edges
+        with pytest.raises(ValueError, match="expected 3 edge capacities"):
+            network_matrices(line_network(1, 1), FD, caps)
 
 
 class TestJsonRoundTrip:
