@@ -17,6 +17,11 @@ from .topology import DuplexMode, RoutingTree
 SPEED_OF_LIGHT = 299792458.0
 # half-width of the ray angles around their cluster center
 RAY_SPREAD_RAD = math.radians(5.0)
+# antenna heights of every BS (donor or IAB node) and every UE
+BS_HEIGHT_M = 25.0
+UE_HEIGHT_M = 1.5
+# the pathloss model's lower validity bound on the 2-D link distance
+MIN_UE_DISTANCE_M = 10.0
 
 
 class OutOfModelRange(ValueError):
@@ -183,20 +188,14 @@ class LinkState:
     one Monte Carlo drop (the RINR penalty is applied afterwards)."""
 
     edge: int
-    child: int
     is_backhaul: bool
     snr_linear: float
-    pathloss_db: float
-    bf_gain: float
-    los: bool
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
     n_bs_ant: int = 64
     n_ue_ant: int = 16
-    h_bs_m: float = 25.0
-    h_ue_m: float = 1.5
 
 
 def link_states(
@@ -220,19 +219,15 @@ def link_states(
         px, py = tree.positions[parent]
         cx, cy = tree.positions[child]
         d2d = math.hypot(cx - px, cy - py)
-        h_rx = arrays.h_bs_m if is_backhaul else arrays.h_ue_m
-        pl_db, los = pathloss_uma(d2d, arrays.h_bs_m, h_rx, budget.carrier_hz, rng)
+        h_rx = BS_HEIGHT_M if is_backhaul else UE_HEIGHT_M
+        pl_db, _ = pathloss_uma(d2d, BS_HEIGHT_M, h_rx, budget.carrier_hz, rng)
         H = gen_channel(n_tx, n_rx, rng)
         _, _, gain = beam_align(H, n_tx, n_rx)
         states.append(
             LinkState(
                 edge=tree.edge_index(child),
-                child=child,
                 is_backhaul=is_backhaul,
                 snr_linear=snr(budget, gain, pl_db),
-                pathloss_db=pl_db,
-                bf_gain=gain,
-                los=los,
             )
         )
     return states
@@ -256,25 +251,27 @@ def capacity_from_links(
     return c
 
 
-def drop_ues(
-    tree: RoutingTree,
-    radius_m: float,
-    rng: np.random.Generator,
-    min_distance_m: float = 10.0,
-) -> RoutingTree:
+def drop_ues(tree: RoutingTree, radius_m: float, rng: np.random.Generator) -> RoutingTree:
     """Drop each UE uniformly in a disk around its serving BS.
 
-    Redraws inside min_distance_m so the pathloss model stays in range.
+    Redraws inside MIN_UE_DISTANCE_M so the pathloss model stays in range; a
+    radius of at most MIN_UE_DISTANCE_M leaves nothing to draw and raises
+    ValueError before any draw.
     """
     if tree.positions is None:
         raise ValueError("BS positions must be set before dropping UEs")
+    if not radius_m > MIN_UE_DISTANCE_M:
+        raise ValueError(
+            f"UE radius {radius_m} m must exceed the minimum UE distance "
+            f"{MIN_UE_DISTANCE_M} m"
+        )
     positions = dict(tree.positions)
     for ue in tree.ue_ids:
         bx, by = positions[tree.parent[ue]]
         while True:
             r = radius_m * math.sqrt(rng.uniform())
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            if r >= min_distance_m:
+            if r >= MIN_UE_DISTANCE_M:
                 break
         positions[ue] = (bx + r * math.cos(theta), by + r * math.sin(theta))
     return tree.with_positions(positions)

@@ -66,7 +66,7 @@ def cmd_utility(args) -> int:
     out = {}
     for mode in (DuplexMode(m) for m in cfg.duplex.modes):
         caps = experiments._capacities(cfg, links, mode, rinr)
-        sol, status = experiments._solve_utility(cfg, tree, mode, caps, delta)
+        sol, status, _ = experiments._solve_utility(cfg, tree, mode, caps, delta)
         out[mode.value] = json.loads(sol.to_json()) if sol else {"status": status}
     print(json.dumps(out, indent=2))
     return 0

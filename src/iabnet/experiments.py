@@ -28,6 +28,7 @@ import numpy as np
 
 from . import queueing
 from .channel import (
+    MIN_UE_DISTANCE_M,
     ArrayConfig,
     LinkBudget,
     RinrConfig,
@@ -74,6 +75,12 @@ class TopologyConfig:
         kinds = ("line", "two_child", "custom")
         _require(self.kind in kinds, "topology.kind", self.kind, f"one of {kinds}")
         _require(self.K >= 0, "topology.K", self.K, ">= 0")
+        _require(self.w >= 1, "topology.w", self.w, ">= 1")
+        # BS-BS and BS-UE distances must stay inside the pathloss model's range
+        _require(10.0 <= self.spacing_m <= 5000.0, "topology.spacing_m",
+                 self.spacing_m, "in [10, 5000] m")
+        _require(MIN_UE_DISTANCE_M < self.ue_radius_m <= 5000.0, "topology.ue_radius_m",
+                 self.ue_radius_m, f"in ({MIN_UE_DISTANCE_M:g}, 5000] m")
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,9 @@ class QosConfig:
         _require(0.0 < self.eta < 1.0, "qos.eta", self.eta, "in (0, 1)")
         _require(all(d > 0 for d in np.atleast_1d(self.delta_s)), "qos.delta_s",
                  self.delta_s, "positive")
+        _require(all(v >= 0 for v in np.atleast_1d(self.lambda_min_pps)),
+                 "qos.lambda_min_pps", self.lambda_min_pps, ">= 0")
+        _require(self.packet_bytes > 0, "qos.packet_bytes", self.packet_bytes, "positive")
 
 
 @dataclass(frozen=True)
@@ -256,15 +266,15 @@ def _capacities(cfg, links, mode: DuplexMode, rinr_db: float) -> np.ndarray:
 
 
 def _solve_utility(cfg, tree, mode, caps, delta_s):
+    """(solution or None, status string, the instance solved)."""
     mats = network_matrices(tree, mode, caps)
     inst = ProblemInstance(matrices=mats, eta=cfg.qos.eta, delta_s=delta_s)
     try:
-        sol = solve_utility_max(inst)
-        return sol, "optimal"
+        return solve_utility_max(inst), "optimal", inst
     except InfeasibleDelay:
-        return None, "infeasible"
+        return None, "infeasible", inst
     except NumericalFailure as exc:  # recorded, never fatal per drop
-        return None, f"error:{exc}"
+        return None, f"error:{exc}", inst
 
 
 def _gain_cell(num: float | None, den: float | None) -> tuple[str, bool]:
@@ -309,7 +319,7 @@ def _utility_sweep(cfg: ExperimentConfig, axis: str) -> list[DropResult]:
                 caps = _capacities(cfg, links, mode, rinr_db)
                 key = (mode, caps.tobytes(), delta)
                 if key not in solved:
-                    solved[key] = _solve_utility(cfg, tree, mode, caps, delta)
+                    solved[key] = _solve_utility(cfg, tree, mode, caps, delta)[:2]
                 sol, stats[mode] = solved[key]
                 rates[mode] = hop_sum_rates(tree, sol.lam) if sol else {}
             hops = sorted(set().union(*rates.values()) or {1})
@@ -407,26 +417,26 @@ def run_min_delay_sweep(cfg: ExperimentConfig) -> list[DropResult]:
     return results
 
 
-def run_queue_validation(
-    cfg: ExperimentConfig,
-    n_packets: int = 100_000,
-    mode: DuplexMode = DuplexMode.FULL_DUPLEX,
-) -> dict:
-    """Solve one drop, simulate the queueing network at the solved operating
-    point, and compare empirical delivery probabilities and per-queue sojourn
-    CDFs with their analytic forms."""
+def run_queue_validation(cfg: ExperimentConfig, n_packets: int = 100_000) -> dict:
+    """Solve one drop in full duplex, simulate the queueing network at the
+    solved operating point, and compare empirical delivery probabilities and
+    per-queue sojourn CDFs with their analytic forms.
+
+    The mode is the constant FULL_DUPLEX; cfg.duplex.modes is not read.
+    """
     from scipy.stats import kstest
 
+    mode = DuplexMode.FULL_DUPLEX
     tree0 = base_tree(cfg)
     tree, links = _drop_links(cfg, tree0, 0)
     delta = float(np.atleast_1d(cfg.qos.delta_s)[0])
     rinr_db = cfg.duplex.rinr_db_sweep[0]
     caps = _capacities(cfg, links, mode, rinr_db)
-    sol, status = _solve_utility(cfg, tree, mode, caps, delta)
+    sol, status, inst = _solve_utility(cfg, tree, mode, caps, delta)
     if sol is None:
         return {"status": status, "mode": mode.value}
 
-    mats = network_matrices(tree, mode, caps)
+    mats = inst.matrices
     sim_rng = np.random.default_rng([cfg.mc.seed, 10_000])
     deliveries = queueing.simulate(mats, sol.lam, sol.mu, n_packets, sim_rng)
 
@@ -437,7 +447,6 @@ def run_queue_validation(
         stat = kstest(sojourns, lambda x, g=gaps[edge]: queueing.sojourn_cdf(g, x)).statistic
         ks[int(edge)] = float(stat)
 
-    inst = ProblemInstance(matrices=mats, eta=cfg.qos.eta, delta_s=delta)
     return {
         "status": status,
         "mode": mode.value,

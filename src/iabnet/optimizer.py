@@ -8,7 +8,8 @@ mu (per edge):
   constraints; solved with an LP solver and cross-checked against the
   closed-form row-minimum expression (implemented here independently).
 
-* utility maximization: concave program with the per-route delivery
+* utility maximization of one objective, the sum-log (proportional-fair)
+  utility sum log(lambda_m), under scheduling and the per-route delivery
   probability constraint sum log(1 - exp(-gap*delta/h_m)) >= log(eta);
   solved with a log-barrier interior-point method with damped Newton steps,
   returning KKT-certified solutions.  Each route constraint sees (lambda, mu)
@@ -16,13 +17,22 @@ mu (per edge):
   Hessian are assembled in edge space (_LatencyGeometry) from per-pair
   vectors: O(M d^2) flops per Newton step for d = M + |E| variables, where a
   per-(UE, edge) pair matrix would cost O(n_pairs d^2).
+
+The interior-point method's tuning values are module constants:
+
+* LAMBDA_FLOOR: lower bound on every UE rate, which keeps log(lambda) finite;
+  also the rate floor of the LP pre-check.
+* BARRIER_MULT: factor by which each outer step raises the barrier weight;
+  Boyd & Vandenberghe (ch. 11) report that 10 to 20 works well.
+* MAX_OUTER: a safety cap on outer steps; the barrier weight cap of 1e14
+  ends the loop first (after 12 steps at BARRIER_MULT = 20).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,6 +40,14 @@ from scipy.optimize import linprog
 
 from .queueing import route_log_cdf
 from .topology import NetworkMatrices
+
+
+LAMBDA_FLOOR = 1e-6
+BARRIER_MULT = 20.0
+MAX_OUTER = 60
+# Newton steps per centering, and outer steps of the phase-one search
+_MAX_NEWTON = 200
+_PHASE_ONE_MAX_OUTER = 40
 
 
 class SolveStatus(Enum):
@@ -49,60 +67,6 @@ class NumericalFailure(RuntimeError):
     """Solver did not converge within its iteration budget."""
 
 
-class Utility:
-    """Concave, nondecreasing per-UE utility; subclasses supply derivatives."""
-
-    def value(self, lam: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def grad(self, lam: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def hess_diag(self, lam: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class LogUtility(Utility):
-    def value(self, lam):
-        return float(np.sum(np.log(lam)))
-
-    def grad(self, lam):
-        return 1.0 / lam
-
-    def hess_diag(self, lam):
-        return -1.0 / lam**2
-
-
-class LinearUtility(Utility):
-    def value(self, lam):
-        return float(np.sum(lam))
-
-    def grad(self, lam):
-        return np.ones_like(lam)
-
-    def hess_diag(self, lam):
-        return np.zeros_like(lam)
-
-
-class AlphaFairUtility(Utility):
-    """x^(1-a)/(1-a); a=1 degenerates to LogUtility (use that instead)."""
-
-    def __init__(self, alpha: float):
-        if alpha == 1.0:
-            raise ValueError("use LogUtility for alpha = 1")
-        self.alpha = float(alpha)
-
-    def value(self, lam):
-        a = self.alpha
-        return float(np.sum(lam ** (1 - a) / (1 - a)))
-
-    def grad(self, lam):
-        return lam ** (-self.alpha)
-
-    def hess_diag(self, lam):
-        return -self.alpha * lam ** (-self.alpha - 1)
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """Immutable solver input.
@@ -115,7 +79,6 @@ class ProblemInstance:
     eta: float
     delta_s: float | None = None
     lambda_min_pps: float | None = None
-    utility: Utility = field(default_factory=LogUtility)
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
@@ -333,8 +296,7 @@ def _solve_pd(H, rhs):
     raise NumericalFailure("Hessian factorization failed")
 
 
-def _newton_barrier(z0, f_obj, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M,
-                    max_iter=200, gtol=0.0):
+def _newton_barrier(z0, f_obj, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M, gtol=0.0):
     """Minimize t_bar * f_obj(z) - sum log(slacks).  Returns (z, converged).
 
     f_obj returns (value, grad, hess_diag_lambda_part_or_full).  Slacks:
@@ -407,7 +369,7 @@ def _newton_barrier(z0, f_obj, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M,
         raise NumericalFailure("barrier start point not strictly feasible")
 
     grad_phase = False  # value progress exhausted; descend on gradient norm
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON):
         grad, H = assemble(z, state)
         gnorm = float(np.abs(grad).max())
 
@@ -459,15 +421,15 @@ def _newton_barrier(z0, f_obj, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M,
     return z, False
 
 
-def solve_utility_max(
-    instance: ProblemInstance,
-    lambda_floor: float = 1e-6,
-    barrier_mult: float = 20.0,
-    max_outer: int = 60,
-) -> Solution:
-    """Maximize sum-utility subject to scheduling and delivery-probability
-    constraints.  Raises InfeasibleDelay when no strictly feasible point
-    exists for the given delta (phase I fails).
+def _sum_log(lam: np.ndarray) -> float:
+    """The sum-log utility sum log(lambda_m)."""
+    return float(np.sum(np.log(lam)))
+
+
+def solve_utility_max(instance: ProblemInstance) -> Solution:
+    """Maximize the sum-log utility subject to scheduling and
+    delivery-probability constraints.  Raises InfeasibleDelay when no
+    strictly feasible point exists for the given delta (phase I fails).
     """
     if instance.delta_s is None:
         raise ValueError("utility problem needs delta_s")
@@ -476,10 +438,9 @@ def solve_utility_max(
     E, M = m.num_edges, m.num_ue
     d = M + E
     log_eta = math.log(eta)
-    util = instance.utility
 
     # quick necessary check via the per-hop LP relaxation
-    lp = solve_min_delay_lp(ProblemInstance(matrices=m, eta=eta, lambda_min_pps=lambda_floor))
+    lp = solve_min_delay_lp(ProblemInstance(matrices=m, eta=eta, lambda_min_pps=LAMBDA_FLOOR))
     zeta = -math.log1p(-eta) / delta
     if lp.t_star <= zeta:
         raise InfeasibleDelay(
@@ -490,7 +451,7 @@ def solve_utility_max(
     geom = _LatencyGeometry(m, delta)
     Gmat = m.G
 
-    box_lo = np.concatenate((np.full(M, lambda_floor), np.zeros(E)))
+    box_lo = np.concatenate((np.full(M, LAMBDA_FLOOR), np.zeros(E)))
     box_hi = np.concatenate((np.full(M, np.inf), np.ones(E)))
 
     # Interior start: back the LP schedule off the boundaries as far as the
@@ -507,7 +468,7 @@ def solve_utility_max(
             mu0 *= (1.0 - sigma) / row.max()
         headroom = float(np.min(m.C * mu0 / users_per_edge))
         for alpha in (0.05, 0.01, 1e-3, 1e-4, 0.0):
-            lam0 = max(alpha * headroom, 2.0 * lambda_floor)
+            lam0 = max(alpha * headroom, 2.0 * LAMBDA_FLOOR)
             cand = np.concatenate((np.full(M, lam0), mu0))
             g, _ = geom.eval(cand, log_eta)
             if g is None:
@@ -525,7 +486,7 @@ def solve_utility_max(
             z = best
         else:
             start = best if best is not None else np.concatenate(
-                (np.full(M, 2.0 * lambda_floor), np.clip(lp.mu, 1e-3, 1 - 1e-3))
+                (np.full(M, 2.0 * LAMBDA_FLOOR), np.clip(lp.mu, 1e-3, 1 - 1e-3))
             )
             z = _phase_one(start, geom, log_eta, box_lo, box_hi, Gmat, M)
 
@@ -533,9 +494,9 @@ def solve_utility_max(
         lam = zz[:M]
         grad = np.zeros(d)
         hd = np.zeros(d)
-        grad[:M] = -util.grad(lam)
-        hd[:M] = -util.hess_diag(lam)
-        return -util.value(lam), grad, hd
+        grad[:M] = -1.0 / lam
+        hd[:M] = 1.0 / lam**2
+        return -_sum_log(lam), grad, hd
 
     n_con = (
         int(np.isfinite(box_lo).sum() + np.isfinite(box_hi).sum())
@@ -544,7 +505,7 @@ def solve_utility_max(
     )
 
     def gtol_for(zz):
-        return 0.4e-6 * max(abs(util.value(zz[:M])), 1e-3)
+        return 0.4e-6 * max(abs(_sum_log(zz[:M])), 1e-3)
 
     def center(zz, t_from, t_to, depth=0):
         """Re-center at barrier weight t_to, bisecting the jump on failure."""
@@ -561,16 +522,16 @@ def solve_utility_max(
 
     t_bar = 1.0
     z = center(z, 1.0, t_bar)
-    for _ in range(max_outer):
-        obj = util.value(z[:M])
+    for _ in range(MAX_OUTER):
+        obj = _sum_log(z[:M])
         gap = n_con / t_bar
         if gap <= 1e-6 * max(abs(obj), 1e-3) or t_bar > 1e14:
             break
         try:
-            z = center(z, t_bar, t_bar * barrier_mult)
+            z = center(z, t_bar, t_bar * BARRIER_MULT)
         except NumericalFailure:
             break  # gradient floor reached; the polish pass keeps the best
-        t_bar *= barrier_mult
+        t_bar *= BARRIER_MULT
     else:
         raise NumericalFailure("barrier iteration budget exhausted")
 
@@ -580,14 +541,14 @@ def solve_utility_max(
     # the best iterate and stop once the residual degrades.
     kkt = _kkt_residual(z, f_obj, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M)
     best_z, best_t, best_kkt = z, t_bar, kkt
-    obj = util.value(z[:M])
+    obj = _sum_log(z[:M])
     while kkt > 0.5e-6 * max(abs(obj), 1e-3) and t_bar < 1e15:
         try:
-            z = center(z, t_bar, t_bar * barrier_mult)
+            z = center(z, t_bar, t_bar * BARRIER_MULT)
         except NumericalFailure:
             break
-        t_bar *= barrier_mult
-        obj = util.value(z[:M])
+        t_bar *= BARRIER_MULT
+        obj = _sum_log(z[:M])
         prev = kkt
         kkt = _kkt_residual(z, f_obj, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M)
         if kkt < best_kkt:
@@ -595,7 +556,7 @@ def solve_utility_max(
         if kkt >= prev:
             break
     z, t_bar, kkt = best_z, best_t, best_kkt
-    obj = util.value(z[:M])
+    obj = _sum_log(z[:M])
     if kkt > 1e-6 * max(abs(obj), 1e-3):
         raise NumericalFailure(
             f"could not certify stationarity: residual {kkt:.3g} "
@@ -607,7 +568,7 @@ def solve_utility_max(
         status=SolveStatus.OPTIMAL,
         lam=lam,
         mu=mu,
-        objective=util.value(lam),
+        objective=_sum_log(lam),
         kkt_residual=kkt,
     )
 
@@ -639,7 +600,7 @@ class _ShiftedGeometry:
         return ge, He, None
 
 
-def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M, max_outer=40):
+def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M):
     """Maximize the worst delivery-constraint margin until it is positive.
 
     Augments z with a scalar s, maximizing s subject to g_m(z) >= s and the
@@ -664,7 +625,7 @@ def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M, max_outer=40):
         return -zz[-1], grad, np.zeros(d + 1)
 
     t_bar = 1.0
-    for _ in range(max_outer):
+    for _ in range(_PHASE_ONE_MAX_OUTER):
         ze, ok = _newton_barrier(ze, f_obj, t_bar, sg, log_eta, lo, hi, Gext, M)
         g, _ = geom.eval(ze[:-1], log_eta)
         if g is not None and np.min(g) > 1e-8:
@@ -689,7 +650,7 @@ def _kkt_residual(z, f_obj, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M):
     _, fgrad, _ = f_obj(z)
     r = fgrad.copy()  # gradient of the minimized objective (-utility)
 
-    gl_grad, _, Jg = geom.grad_hess_barrier(z, g, x)
+    gl_grad, _, _ = geom.grad_hess_barrier(z, g, x)
     r += gl_grad / t_bar
 
     lo_idx = np.isfinite(box_lo)

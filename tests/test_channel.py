@@ -191,3 +191,12 @@ class TestDropUes:
         a = drop_ues(tree, 100.0, np.random.default_rng(7))
         b = drop_ues(tree, 100.0, np.random.default_rng(7))
         assert a.positions == b.positions
+
+    @pytest.mark.parametrize("radius", [10.0, 5.0, -5.0])
+    def test_radius_at_or_below_min_distance_rejected_before_any_draw(self, radius):
+        # every draw would land inside the minimum distance and be redrawn
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="UE radius"):
+            drop_ues(line_network(1, 1), radius, rng)
+        assert rng.bit_generator.state == state

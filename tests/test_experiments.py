@@ -73,6 +73,13 @@ class TestConfig:
             ("duplex", "modes", ["xd"]),
             ("topology", "kind", "ring"),
             ("mc", "n_drops", -3),
+            ("topology", "w", 0),
+            ("topology", "spacing_m", 5.0),
+            ("topology", "ue_radius_m", 10.0),
+            ("topology", "ue_radius_m", -5),
+            ("topology", "ue_radius_m", 6000.0),
+            ("qos", "lambda_min_pps", [10.0, -5.0]),
+            ("qos", "packet_bytes", 0),
         ],
     )
     def test_from_dict_rejects_out_of_range_by_name(self, section, name, value):
@@ -124,7 +131,7 @@ class TestDropDiscipline:
         _, a = _drop_links(cfg, tree0, 1)
         _, b = _drop_links(cfg, tree0, 1)
         assert all(
-            x.snr_linear == y.snr_linear and x.los == y.los for x, y in zip(a, b)
+            x.snr_linear == y.snr_linear for x, y in zip(a, b)
         )
 
 
@@ -204,10 +211,10 @@ class TestPersistence:
             cfg = small_cfg(output=OutputConfig(dir=str(tmp_path / sub)))
             paths = save_run(cfg, "rate_sweep", results=run_rate_sweep(cfg))
             outputs.append(paths)
-        csv_a = open(outputs[0]["csv"], "rb").read()
-        csv_b = open(outputs[1]["csv"], "rb").read()
+        csv_a = Path(outputs[0]["csv"]).read_bytes()
+        csv_b = Path(outputs[1]["csv"]).read_bytes()
         assert csv_a == csv_b
-        man = json.load(open(outputs[0]["manifest"]))
+        man = json.loads(Path(outputs[0]["manifest"]).read_text())
         assert man["config"]["mc"]["seed"] == 123
         assert man["seed"] == 123
 
@@ -216,8 +223,8 @@ class TestPersistence:
         a = save_run(cfg, "rate_sweep", results=[])
         b = save_run(cfg, "queue_validation", report={"status": "optimal"})
         assert a["manifest"] != b["manifest"]
-        assert json.load(open(a["manifest"]))["experiment"] == "rate_sweep"
-        assert json.load(open(b["manifest"]))["experiment"] == "queue_validation"
+        assert json.loads(Path(a["manifest"]).read_text())["experiment"] == "rate_sweep"
+        assert json.loads(Path(b["manifest"]).read_text())["experiment"] == "queue_validation"
 
     def test_manifest_encodes_minus_inf(self, tmp_path):
         cfg = small_cfg(
@@ -225,7 +232,7 @@ class TestPersistence:
             output=OutputConfig(dir=str(tmp_path)),
         )
         paths = save_run(cfg, "rate_sweep", results=run_rate_sweep(cfg))
-        man = json.load(open(paths["manifest"]))
+        man = json.loads(Path(paths["manifest"]).read_text())
         assert man["config"]["duplex"]["rinr_db_sweep"] == ["-inf"]
 
 

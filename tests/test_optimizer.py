@@ -9,11 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iabnet.optimizer import (
-    AlphaFairUtility,
     InfeasibleDelay,
     InfeasibleRate,
-    LinearUtility,
-    LogUtility,
     ProblemInstance,
     SolveStatus,
     _LatencyGeometry,
@@ -105,33 +102,6 @@ class TestMinDelayLp:
         d = json.loads(sol.to_json())
         assert d["status"] == "optimal"
         assert len(d["mu"]) == m.num_edges
-
-
-class TestUtilities:
-    @pytest.mark.parametrize(
-        "utility", [LogUtility(), LinearUtility(), AlphaFairUtility(alpha=2.0)]
-    )
-    def test_gradients_match_finite_differences(self, utility):
-        rng = np.random.default_rng(40)
-        lam = rng.uniform(10.0, 500.0, size=4)
-        g = utility.grad(lam)
-        h = utility.hess_diag(lam)
-        eps = 1e-5
-        for i in range(4):
-            up, dn = lam.copy(), lam.copy()
-            up[i] += eps * lam[i]
-            dn[i] -= eps * lam[i]
-            fd_g = (utility.value(up) - utility.value(dn)) / (2 * eps * lam[i])
-            fd_h = (utility.grad(up)[i] - utility.grad(dn)[i]) / (2 * eps * lam[i])
-            assert g[i] == pytest.approx(fd_g, rel=1e-5)
-            assert h[i] == pytest.approx(fd_h, rel=1e-4, abs=1e-12)
-
-    def test_alpha_one_rejected_and_limit_matches_log(self):
-        with pytest.raises(ValueError):
-            AlphaFairUtility(alpha=1.0)
-        lam = np.array([10.0, 200.0])
-        near = AlphaFairUtility(alpha=1.0 + 1e-9)
-        assert near.grad(lam) == pytest.approx(LogUtility().grad(lam), rel=1e-6)
 
 
 class TestUtilityMax:

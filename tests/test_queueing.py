@@ -285,7 +285,7 @@ def _line_3_2_fd_solved():
     )
     tree, links = experiments._drop_links(cfg, experiments.base_tree(cfg), 0)
     caps = experiments._capacities(cfg, links, FD, -math.inf)
-    sol, status = experiments._solve_utility(cfg, tree, FD, caps, 3.5e-3)
+    sol, status, _ = experiments._solve_utility(cfg, tree, FD, caps, 3.5e-3)
     assert status == "optimal"
     return network_matrices(tree, FD, caps), sol.lam, sol.mu
 
