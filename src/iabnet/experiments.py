@@ -81,6 +81,8 @@ class TopologyConfig:
                  self.spacing_m, "in [10, 5000] m")
         _require(MIN_UE_DISTANCE_M < self.ue_radius_m <= 5000.0, "topology.ue_radius_m",
                  self.ue_radius_m, f"in ({MIN_UE_DISTANCE_M:g}, 5000] m")
+        _require(self.kind != "custom" or bool(self.tree_json), "topology.tree_json",
+                 self.tree_json, "a path when topology.kind is 'custom'")
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,6 @@ def base_tree(cfg: ExperimentConfig) -> RoutingTree:
     if t.kind == "two_child":
         return two_child_tree(t.w, t.spacing_m)
     if t.kind == "custom":
-        if not t.tree_json:
-            raise ValueError("custom topology needs tree_json path")
         with open(t.tree_json) as fh:
             return tree_from_json(fh.read())
     raise ValueError(f"unknown topology kind {t.kind!r}")
@@ -417,6 +417,20 @@ def run_min_delay_sweep(cfg: ExperimentConfig) -> list[DropResult]:
     return results
 
 
+def _ks_statistic(sample: np.ndarray, cdf) -> float:
+    """Two-sided one-sample Kolmogorov-Smirnov distance sup |F_n - cdf|.
+
+    The operations of scipy.stats.kstest's statistic, so the value is the
+    same bit for bit, without the exact p-value kstest also computes.
+    """
+    x = np.sort(sample)
+    n = x.size
+    cdfvals = cdf(x)
+    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
+    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
 def run_queue_validation(cfg: ExperimentConfig, n_packets: int = 100_000) -> dict:
     """Solve one drop in full duplex, simulate the queueing network at the
     solved operating point, and compare empirical delivery probabilities and
@@ -424,8 +438,6 @@ def run_queue_validation(cfg: ExperimentConfig, n_packets: int = 100_000) -> dic
 
     The mode is the constant FULL_DUPLEX; cfg.duplex.modes is not read.
     """
-    from scipy.stats import kstest
-
     mode = DuplexMode.FULL_DUPLEX
     tree0 = base_tree(cfg)
     tree, links = _drop_links(cfg, tree0, 0)
@@ -444,8 +456,7 @@ def run_queue_validation(cfg: ExperimentConfig, n_packets: int = 100_000) -> dic
     gaps = mats.C * sol.mu - mats.F @ sol.lam
     ks = {}
     for edge, sojourns in queueing.per_queue_sojourns(deliveries, mats).items():
-        stat = kstest(sojourns, lambda x, g=gaps[edge]: queueing.sojourn_cdf(g, x)).statistic
-        ks[int(edge)] = float(stat)
+        ks[int(edge)] = _ks_statistic(sojourns, lambda x, g=gaps[edge]: queueing.sojourn_cdf(g, x))
 
     return {
         "status": status,

@@ -24,8 +24,17 @@ The interior-point method's tuning values are module constants:
   also the rate floor of the LP pre-check.
 * BARRIER_MULT: factor by which each outer step raises the barrier weight;
   Boyd & Vandenberghe (ch. 11) report that 10 to 20 works well.
-* MAX_OUTER: a safety cap on outer steps; the barrier weight cap of 1e14
-  ends the loop first (after 12 steps at BARRIER_MULT = 20).
+
+The outer loop raises the barrier weight until the duality gap n_con/t meets
+its target or the weight passes 1e14 (12 steps at BARRIER_MULT = 20).
+
+The Newton loop (_newton_barrier, the geometries, _solve_pd, _kkt_residual)
+must keep its float operations: the same matmul operands and layouts, the
+same summation orders, and the same sequence of additions into the gradient
+and Hessian, so that every solve repeats its iterates bit for bit.  Speed-ups
+there cut only interpreter and wrapper overhead; tests/test_optimizer.py
+holds the oracles (the scipy cho_factor/cho_solve solve, the full-assembly
+gradient, and pinned solver floats) that check this.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog
 
 from .queueing import route_log_cdf
@@ -44,7 +54,6 @@ from .topology import NetworkMatrices
 
 LAMBDA_FLOOR = 1e-6
 BARRIER_MULT = 20.0
-MAX_OUTER = 60
 # Newton steps per centering, and outer steps of the phase-one search
 _MAX_NEWTON = 200
 _PHASE_ONE_MAX_OUTER = 40
@@ -252,9 +261,20 @@ class _LatencyGeometry:
     def eval(self, z: np.ndarray, log_eta: float):
         """Return (g, x); g_m = sum psi(x) over route m - log(eta)."""
         x = self.scale * (self.J @ z)[self.pair_edge]
-        if np.any(x <= 0):
+        if x.min() <= 0:
             return None, x
         return np.bincount(self.pair_ue, _psi(x), self.num_ue) - log_eta, x
+
+    def _jacobian(self, d1):
+        """Jg = R J, R (M x |E|) holding psi'(x_p) scale_p at (m, v)."""
+        R = np.zeros(self.num_ue * self.num_edges)
+        R[self.pair_flat] = d1 * self.scale
+        return R.reshape(self.num_ue, self.num_edges) @ self.J
+
+    def grad_barrier(self, z, g, x):
+        """The gradient of grad_hess_barrier, by the same operations."""
+        d1, _ = _dpsi_d2psi(x)
+        return -(self._jacobian(d1) / g[:, None]).sum(axis=0)
 
     def grad_hess_barrier(self, z, g, x):
         """Gradient and Hessian of -sum log(g_m) at a strictly feasible z.
@@ -267,9 +287,7 @@ class _LatencyGeometry:
         """
         M, E = self.num_ue, self.num_edges
         d1, d2 = _dpsi_d2psi(x)
-        R = np.zeros(M * E)
-        R[self.pair_flat] = d1 * self.scale
-        Jg = R.reshape(M, E) @ self.J
+        Jg = self._jacobian(d1)
         Js = Jg / g[:, None]
         grad = -Js.sum(axis=0)
         c = np.bincount(self.pair_edge, d2 * self.scale2 / g[self.pair_ue], E)
@@ -282,91 +300,98 @@ class _LatencyGeometry:
 
 def _solve_pd(H, rhs):
     """Solve H x = rhs for symmetric positive-definite H, escalating a
-    diagonal jitter when near-boundary barrier terms destroy definiteness."""
-    from scipy.linalg import cho_factor, cho_solve
+    diagonal jitter when near-boundary barrier terms destroy definiteness.
 
+    Calls LAPACK's Cholesky routines with the arguments scipy's cho_factor
+    and cho_solve pass them, without those wrappers' per-call overhead.  A
+    non-finite system raises NumericalFailure.
+    """
+    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
+        raise NumericalFailure("non-finite Newton system")
     jitter = 0.0
     scale = np.abs(H.diagonal()).max()
     for _ in range(12):
-        try:
-            factor = cho_factor(H + jitter * np.eye(H.shape[0]) if jitter else H)
-            return cho_solve(factor, rhs)
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
+        c, info = dpotrf(H + jitter * np.eye(H.shape[0]) if jitter else H,
+                         lower=False, clean=False)
+        if info == 0:
+            return dpotrs(c, rhs, lower=False)[0]
+        jitter = max(jitter * 100.0, 1e-14 * scale)
     raise NumericalFailure("Hessian factorization failed")
 
 
-def _newton_barrier(z0, f_obj, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M, gtol=0.0):
-    """Minimize t_bar * f_obj(z) - sum log(slacks).  Returns (z, converged).
+def _newton_barrier(z0, f_val, f_grad_hess, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M,
+                    gtol=0.0):
+    """Minimize t_bar * f(z) - sum log(slacks).  Returns (z, converged).
 
-    f_obj returns (value, grad, hess_diag_lambda_part_or_full).  Slacks:
-    z - box_lo, box_hi - z (finite entries only), 1 - G mu, and the latency
-    margins g_m via geom.
+    f_val(z) returns the objective value; f_grad_hess(z) its gradient and
+    the diagonal of its Hessian.  Slacks: z - box_lo, box_hi - z (finite
+    entries only), 1 - G mu, and the latency margins g_m via geom.
     """
     z = z0.copy()
     d = z.size
-    lo_idx = np.isfinite(box_lo)
-    hi_idx = np.isfinite(box_hi)
+    lo_idx = np.flatnonzero(np.isfinite(box_lo))
+    hi_idx = np.flatnonzero(np.isfinite(box_hi))
+    lo_val, hi_val = box_lo[lo_idx], box_hi[hi_idx]
+    diag = np.diag_indices(d)
 
     def slacks(zz):
+        """(g, x, s_lo, s_hi, s_g) at a strictly feasible zz, else None."""
         g, x = geom.eval(zz, g_floor)
-        s_lo = zz[lo_idx] - box_lo[lo_idx]
-        s_hi = box_hi[hi_idx] - zz[hi_idx]
+        if g is None or not g.min() > 0:
+            return None
+        s_lo = zz[lo_idx] - lo_val
+        s_hi = hi_val - zz[hi_idx]
         s_g = 1.0 - Gmat @ zz[M:]
-        ok = (
-            g is not None
-            and np.all(g > 0)
-            and np.all(s_lo > 0)
-            and np.all(s_hi > 0)
-            and np.all(s_g > 0)
-        )
-        return ok, g, x, s_lo, s_hi, s_g
+        if s_lo.min() > 0 and s_hi.min() > 0 and s_g.min() > 0:
+            return g, x, s_lo, s_hi, s_g
+        return None
 
     # work with f + phi/t rather than t*f + phi: same minimizer, but the
     # value stays O(|f|) at large t, so line-search progress is resolvable
-    def barrier_value(zz):
-        ok, g, x, s_lo, s_hi, s_g = slacks(zz)
-        if not ok:
-            return np.inf, None
-        val, _, _ = f_obj(zz)
-        b = val - (
-            np.sum(np.log(g))
-            + np.sum(np.log(s_lo))
-            + np.sum(np.log(s_hi))
-            + np.sum(np.log(s_g))
+    def barrier_value(zz, st):
+        g, _, s_lo, s_hi, s_g = st
+        return f_val(zz) - (
+            np.log(g).sum()
+            + np.log(s_lo).sum()
+            + np.log(s_hi).sum()
+            + np.log(s_g).sum()
         ) / t_bar
-        return b, (g, x, s_lo, s_hi, s_g)
 
     B = np.zeros((Gmat.shape[0], d))
     B[:, M:] = Gmat
 
-    def assemble(zz, st):
+    def assemble(zz, st, hess=True):
+        """The barrier gradient at zz, and its Hessian if hess (else None)."""
         g, x, s_lo, s_hi, s_g = st
-        _, fgrad, fhess = f_obj(zz)
+        fgrad, fhess = f_grad_hess(zz)
         grad = fgrad.copy()
-        H = np.zeros((d, d))
-        H[np.diag_indices(d)] += fhess
-
-        gl, Hl, _ = geom.grad_hess_barrier(zz, g, x)
+        if hess:
+            gl, Hl, _ = geom.grad_hess_barrier(zz, g, x)
+        else:
+            gl = geom.grad_barrier(zz, g, x)
         grad += gl / t_bar
-        H += Hl / t_bar
-
         gb = np.zeros(d)
         gb[lo_idx] -= 1.0 / s_lo
         gb[hi_idx] += 1.0 / s_hi
         grad += gb / t_bar
+        grad += B.T @ (1.0 / s_g) / t_bar
+        if not hess:
+            return grad, None
+
+        H = np.zeros((d, d))
+        H[diag] += fhess
+        H += Hl / t_bar
         hb = np.zeros(d)
         hb[lo_idx] += 1.0 / s_lo**2
         hb[hi_idx] += 1.0 / s_hi**2
-        H[np.diag_indices(d)] += hb / t_bar
-
-        grad += B.T @ (1.0 / s_g) / t_bar
+        H[diag] += hb / t_bar
         H += B.T @ ((1.0 / s_g**2)[:, None] * B) / t_bar
         return grad, H
 
-    bval, state = barrier_value(z)
+    state = slacks(z)
     if state is None:
         raise NumericalFailure("barrier start point not strictly feasible")
+    bval = barrier_value(z, state)
 
     grad_phase = False  # value progress exhausted; descend on gradient norm
     for _ in range(_MAX_NEWTON):
@@ -392,11 +417,13 @@ def _newton_barrier(z0, f_obj, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M, gt
             t_step = 1.0
             for _ in range(60):
                 cand = z + t_step * step
-                bc, st = barrier_value(cand)
-                if st is not None and bc <= bval - 0.25 * t_step * decrement + 4e-16 * scale:
-                    z, bval, state = cand, bc, st
-                    accepted = True
-                    break
+                st = slacks(cand)
+                if st is not None:
+                    bc = barrier_value(cand, st)
+                    if bc <= bval - 0.25 * t_step * decrement + 4e-16 * scale:
+                        z, bval, state = cand, bc, st
+                        accepted = True
+                        break
                 t_step *= 0.5
             if not accepted:
                 grad_phase = True
@@ -406,12 +433,11 @@ def _newton_barrier(z0, f_obj, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M, gt
             t_step = 1.0
             for _ in range(30):
                 cand = z + t_step * step
-                ok_c, *st = slacks(cand)
-                if ok_c:
-                    gc, _ = assemble(cand, tuple(st))
+                st = slacks(cand)
+                if st is not None:
+                    gc, _ = assemble(cand, st, hess=False)
                     if float(np.abs(gc).max()) < 0.9 * gnorm:
-                        z, state = cand, tuple(st)
-                        bval = barrier_value(z)[0]
+                        z, bval, state = cand, barrier_value(cand, st), st
                         accepted = True
                         break
                 t_step *= 0.5
@@ -421,9 +447,15 @@ def _newton_barrier(z0, f_obj, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M, gt
     return z, False
 
 
+def _num_constraints(box_lo, box_hi, Gmat, M) -> int:
+    """Inequality count of a barrier problem: finite box bounds, scheduling
+    rows and the M delivery margins."""
+    return int(np.isfinite(box_lo).sum() + np.isfinite(box_hi).sum()) + Gmat.shape[0] + M
+
+
 def _sum_log(lam: np.ndarray) -> float:
     """The sum-log utility sum log(lambda_m)."""
-    return float(np.sum(np.log(lam)))
+    return float(np.log(lam).sum())
 
 
 def solve_utility_max(instance: ProblemInstance) -> Solution:
@@ -490,19 +522,18 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
             )
             z = _phase_one(start, geom, log_eta, box_lo, box_hi, Gmat, M)
 
-    def f_obj(zz):
+    def f_val(zz):
+        return -_sum_log(zz[:M])
+
+    def f_grad_hess(zz):
         lam = zz[:M]
         grad = np.zeros(d)
         hd = np.zeros(d)
         grad[:M] = -1.0 / lam
         hd[:M] = 1.0 / lam**2
-        return -_sum_log(lam), grad, hd
+        return grad, hd
 
-    n_con = (
-        int(np.isfinite(box_lo).sum() + np.isfinite(box_hi).sum())
-        + Gmat.shape[0]
-        + M
-    )
+    n_con = _num_constraints(box_lo, box_hi, Gmat, M)
 
     def gtol_for(zz):
         return 0.4e-6 * max(abs(_sum_log(zz[:M])), 1e-3)
@@ -510,7 +541,7 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
     def center(zz, t_from, t_to, depth=0):
         """Re-center at barrier weight t_to, bisecting the jump on failure."""
         z2, ok = _newton_barrier(
-            zz, f_obj, t_to, geom, log_eta, box_lo, box_hi, Gmat, M,
+            zz, f_val, f_grad_hess, t_to, geom, log_eta, box_lo, box_hi, Gmat, M,
             gtol=gtol_for(zz),
         )
         if ok:
@@ -522,24 +553,21 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
 
     t_bar = 1.0
     z = center(z, 1.0, t_bar)
-    for _ in range(MAX_OUTER):
-        obj = _sum_log(z[:M])
+    while t_bar <= 1e14:
         gap = n_con / t_bar
-        if gap <= 1e-6 * max(abs(obj), 1e-3) or t_bar > 1e14:
+        if gap <= 1e-6 * max(abs(_sum_log(z[:M])), 1e-3):
             break
         try:
             z = center(z, t_bar, t_bar * BARRIER_MULT)
         except NumericalFailure:
             break  # gradient floor reached; the polish pass keeps the best
         t_bar *= BARRIER_MULT
-    else:
-        raise NumericalFailure("barrier iteration budget exhausted")
 
     # polish: the certificate target is tighter than the duality gap alone.
     # The residual is minimized at a moderate barrier weight: beyond it, the
     # boundary curvature amplifies float-level displacements of z, so keep
     # the best iterate and stop once the residual degrades.
-    kkt = _kkt_residual(z, f_obj, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M)
+    kkt = _kkt_residual(z, f_grad_hess, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M)
     best_z, best_t, best_kkt = z, t_bar, kkt
     obj = _sum_log(z[:M])
     while kkt > 0.5e-6 * max(abs(obj), 1e-3) and t_bar < 1e15:
@@ -550,7 +578,7 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
         t_bar *= BARRIER_MULT
         obj = _sum_log(z[:M])
         prev = kkt
-        kkt = _kkt_residual(z, f_obj, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M)
+        kkt = _kkt_residual(z, f_grad_hess, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M)
         if kkt < best_kkt:
             best_z, best_t, best_kkt = z, t_bar, kkt
         if kkt >= prev:
@@ -586,17 +614,21 @@ class _ShiftedGeometry:
             return None, x
         return g - ze[-1], x
 
+    # g below is the shifted margin u_m = g_m(z) - s
+    def grad_barrier(self, ze, g, x):
+        gl = self.geom.grad_barrier(ze[:-1], g, x)
+        return np.concatenate((gl, [float((1.0 / g).sum())]))
+
     def grad_hess_barrier(self, ze, g, x):
-        # g here is the shifted margin u_m = g_m(z) - s
         d = ze.size - 1
         gl, Hl, Jg = self.geom.grad_hess_barrier(ze[:-1], g, x)
-        ge = np.concatenate((gl, [float(np.sum(1.0 / g))]))
+        ge = np.concatenate((gl, [float((1.0 / g).sum())]))
         He = np.zeros((d + 1, d + 1))
         He[:d, :d] = Hl
         cross = -(Jg / (g**2)[:, None]).sum(axis=0)
         He[:d, -1] = cross
         He[-1, :d] = cross
-        He[-1, -1] = float(np.sum(1.0 / g**2))
+        He[-1, -1] = float((1.0 / g**2).sum())
         return ge, He, None
 
 
@@ -619,39 +651,52 @@ def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M):
     hi = np.concatenate((box_hi, [np.inf]))
     Gext = np.hstack((Gmat, np.zeros((Gmat.shape[0], 1))))
 
-    def f_obj(zz):
-        grad = np.zeros(d + 1)
-        grad[-1] = -1.0  # maximize s
-        return -zz[-1], grad, np.zeros(d + 1)
+    def f_val(zz):
+        return -zz[-1]  # maximize s
 
+    grad_s = np.zeros(d + 1)
+    grad_s[-1] = -1.0
+
+    def f_grad_hess(zz):
+        return grad_s, np.zeros(d + 1)
+
+    n_con = _num_constraints(lo, hi, Gext, M)
     t_bar = 1.0
     for _ in range(_PHASE_ONE_MAX_OUTER):
-        ze, ok = _newton_barrier(ze, f_obj, t_bar, sg, log_eta, lo, hi, Gext, M)
+        ze, ok = _newton_barrier(ze, f_val, f_grad_hess, t_bar, sg, log_eta, lo, hi, Gext, M)
         g, _ = geom.eval(ze[:-1], log_eta)
-        if g is not None and np.min(g) > 1e-8:
+        if g is not None and g.min() > 1e-8:
             return ze[:-1]
         if not ok:
             break
+        # at a centered point the duality gap n_con/t bounds how far s is
+        # below the best achievable margin (Boyd & Vandenberghe 11.4.1)
+        s = float(ze[-1])
+        s_bound = s + n_con / t_bar
+        if s_bound < -1e-9 * max(1.0, abs(s)):
+            raise InfeasibleDelay(
+                "no strictly feasible point for the delivery-probability "
+                f"constraints (best margin at most {s_bound:.3g})"
+            )
         t_bar *= 20.0
         if t_bar > 1e12:
             break
-    if g is not None and np.min(g) > 0:
+    if g is not None and g.min() > 0:
         return ze[:-1]
     raise InfeasibleDelay(
         "no strictly feasible point for the delivery-probability constraints "
-        f"(best margin {float(np.min(g)) if g is not None else float('nan'):.3g})"
+        f"(best margin {float(g.min()) if g is not None else float('nan'):.3g})"
     )
 
 
-def _kkt_residual(z, f_obj, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M):
+def _kkt_residual(z, f_grad_hess, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M):
     """Stationarity residual with the barrier dual estimates nu_i = 1/(t h_i)."""
     d = z.size
     g, x = geom.eval(z, log_eta)
-    _, fgrad, _ = f_obj(z)
+    fgrad, _ = f_grad_hess(z)
     r = fgrad.copy()  # gradient of the minimized objective (-utility)
 
-    gl_grad, _, _ = geom.grad_hess_barrier(z, g, x)
-    r += gl_grad / t_bar
+    r += geom.grad_barrier(z, g, x) / t_bar
 
     lo_idx = np.isfinite(box_lo)
     hi_idx = np.isfinite(box_hi)
@@ -661,7 +706,7 @@ def _kkt_residual(z, f_obj, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M):
     B = np.zeros((Gmat.shape[0], d))
     B[:, M:] = Gmat
     r += B.T @ (1.0 / (t_bar * s_g))
-    return float(np.max(np.abs(r)))
+    return float(np.abs(r).max())
 
 
 def constraint_report(instance: ProblemInstance, sol: Solution) -> dict:

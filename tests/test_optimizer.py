@@ -2,20 +2,25 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iabnet import optimizer
+from iabnet.experiments import _capacities, _drop_links, base_tree, load_config
 from iabnet.optimizer import (
     InfeasibleDelay,
     InfeasibleRate,
+    NumericalFailure,
     ProblemInstance,
     SolveStatus,
     _LatencyGeometry,
     _ShiftedGeometry,
     _psi,
+    _solve_pd,
     closed_form_t_star,
     constraint_report,
     min_feasible_delay,
@@ -285,3 +290,123 @@ class TestLatencyGeometry:
                 # column i holds the cross term d^2 phi / dz_i ds in its last row
                 np.testing.assert_allclose(He[:, i], fd_col, rtol=1e-4,
                                            atol=1e-6 * np.abs(He).max())
+
+    @pytest.mark.parametrize("mode", [HD, FD])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grad_barrier_equals_full_assembly_gradient(self, mode, seed):
+        rng = np.random.default_rng(600 + seed)
+        _, m = random_instance(rng, mode)
+        delta, z, log_eta = _geometry_point(rng, m)
+        geom = _LatencyGeometry(m, delta)
+        g, x = geom.eval(z, log_eta)
+        assert np.array_equal(geom.grad_barrier(z, g, x), geom.grad_hess_barrier(z, g, x)[0])
+        sg = _ShiftedGeometry(geom)
+        ze = np.concatenate((z, [0.5]))
+        u, x = sg.eval(ze, log_eta)
+        assert np.array_equal(sg.grad_barrier(ze, u, x), sg.grad_hess_barrier(ze, u, x)[0])
+
+
+def _solve_pd_cho(H, rhs):
+    """Oracle: _solve_pd as written on scipy's cho_factor/cho_solve wrappers,
+    which call the same LAPACK routines with the same arguments."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    jitter = 0.0
+    scale = np.abs(H.diagonal()).max()
+    for _ in range(12):
+        try:
+            factor = cho_factor(H + jitter * np.eye(H.shape[0]) if jitter else H)
+            return cho_solve(factor, rhs)
+        except np.linalg.LinAlgError:
+            jitter = max(jitter * 100.0, 1e-14 * scale)
+    raise NumericalFailure("Hessian factorization failed")
+
+
+class TestSolvePd:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_cho_oracle_on_random_spd(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        d = int(rng.integers(1, 60))
+        X = rng.standard_normal((d, d))
+        # barrier Hessians are symmetric only up to round-off
+        H = X @ X.T + rng.uniform(1e-3, 1.0) * np.eye(d) + 1e-15 * rng.standard_normal((d, d))
+        rhs = rng.standard_normal(d)
+        assert np.array_equal(_solve_pd(H, rhs), _solve_pd_cho(H, rhs))
+
+    def test_equals_cho_oracle_when_jitter_is_needed(self):
+        rng = np.random.default_rng(710)
+        X = rng.standard_normal((20, 17))
+        H = X @ X.T - 1e-10 * np.eye(20)  # three eigenvalues at -1e-10
+        rhs = rng.standard_normal(20)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(H)
+        assert np.array_equal(_solve_pd(H, rhs), _solve_pd_cho(H, rhs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_system_is_a_numerical_failure(self, bad):
+        H, rhs = np.eye(4), np.ones(4)
+        H_bad = H.copy()
+        H_bad[1, 2] = bad
+        with pytest.raises(NumericalFailure):
+            _solve_pd(H_bad, rhs)
+        rhs_bad = rhs.copy()
+        rhs_bad[3] = bad
+        with pytest.raises(NumericalFailure):
+            _solve_pd(H, rhs_bad)
+
+
+def _rate_sweep_point(drop, mode, rinr_db):
+    """The utility problem of one point of configs/rate-sweep.json."""
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "rate-sweep.json"))
+    tree, links = _drop_links(cfg, base_tree(cfg), drop)
+    caps = _capacities(cfg, links, mode, rinr_db)
+    return ProblemInstance(matrices=network_matrices(tree, mode, caps), eta=cfg.qos.eta,
+                           delta_s=cfg.qos.delta_s)
+
+
+@pytest.fixture
+def linear_solves(monkeypatch):
+    """Counts the Newton linear solves of the solver."""
+    count = [0]
+    inner = optimizer._solve_pd
+
+    def counted(H, rhs):
+        count[0] += 1
+        return inner(H, rhs)
+
+    monkeypatch.setattr(optimizer, "_solve_pd", counted)
+    return count
+
+
+class TestPinnedSolves:
+    """Floats and Newton linear-solve counts of full utility solves, pinned
+    bit for bit.  Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy 1.17.1)
+    on the solver before its Newton loop was rewritten for speed; the rewrite
+    must keep every float operation, so these must not move.  Another BLAS
+    build may round differently and fail them without a solver fault.
+    """
+
+    @pytest.mark.parametrize(
+        "drop, mode, rinr_db, objective, kkt, solves",
+        [
+            # phase one runs before the barrier loop
+            (16, HD, -20.0, 25.402695682574425, 2.4905147455456245e-07, 99),
+            (4, FD, 10.0, 22.667472506939514, 4.77891816075271e-06, 111),
+            # interior start found directly
+            (0, FD, -20.0, 29.2352549659211, 1.198070540553431e-07, 46),
+        ],
+    )
+    def test_optimal_solve_floats_and_steps(self, linear_solves, drop, mode, rinr_db,
+                                            objective, kkt, solves):
+        sol = solve_utility_max(_rate_sweep_point(drop, mode, rinr_db))
+        assert sol.objective == objective
+        assert sol.kkt_residual == kkt
+        assert linear_solves[0] == solves
+
+    @pytest.mark.parametrize("drop, solves, budget_solves", [(12, 77, 106), (14, 64, 96)])
+    def test_phase_one_exit_rejects_early(self, linear_solves, drop, solves, budget_solves):
+        # budget_solves: linear solves when phase one ran until its barrier
+        # weight cap, before the duality-gap exit existed
+        with pytest.raises(InfeasibleDelay, match="best margin at most"):
+            solve_utility_max(_rate_sweep_point(drop, HD, -20.0))
+        assert linear_solves[0] == solves < budget_solves
