@@ -417,20 +417,6 @@ def run_min_delay_sweep(cfg: ExperimentConfig) -> list[DropResult]:
     return results
 
 
-def _ks_statistic(sample: np.ndarray, cdf) -> float:
-    """Two-sided one-sample Kolmogorov-Smirnov distance sup |F_n - cdf|.
-
-    The operations of scipy.stats.kstest's statistic, so the value is the
-    same bit for bit, without the exact p-value kstest also computes.
-    """
-    x = np.sort(sample)
-    n = x.size
-    cdfvals = cdf(x)
-    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
-    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
-    return float(d_plus if d_plus > d_minus else d_minus)
-
-
 def run_queue_validation(cfg: ExperimentConfig, n_packets: int = 100_000) -> dict:
     """Solve one drop in full duplex, simulate the queueing network at the
     solved operating point, and compare empirical delivery probabilities and
@@ -438,6 +424,8 @@ def run_queue_validation(cfg: ExperimentConfig, n_packets: int = 100_000) -> dic
 
     The mode is the constant FULL_DUPLEX; cfg.duplex.modes is not read.
     """
+    from scipy.stats import kstest
+
     mode = DuplexMode.FULL_DUPLEX
     tree0 = base_tree(cfg)
     tree, links = _drop_links(cfg, tree0, 0)
@@ -456,7 +444,8 @@ def run_queue_validation(cfg: ExperimentConfig, n_packets: int = 100_000) -> dic
     gaps = mats.C * sol.mu - mats.F @ sol.lam
     ks = {}
     for edge, sojourns in queueing.per_queue_sojourns(deliveries, mats).items():
-        ks[int(edge)] = _ks_statistic(sojourns, lambda x, g=gaps[edge]: queueing.sojourn_cdf(g, x))
+        stat = kstest(sojourns, lambda x, g=gaps[edge]: queueing.sojourn_cdf(g, x)).statistic
+        ks[int(edge)] = float(stat)
 
     return {
         "status": status,
