@@ -135,6 +135,8 @@ def main(argv: list[str] | None = None) -> int:
     vq.add_argument("--packets", type=int, default=100_000)
 
     args = parser.parse_args(argv)
+    if args.command == "validate-queues" and args.packets < 1:
+        vq.error(f"argument --packets: must be at least 1, got {args.packets}")
     handlers = {
         **dict.fromkeys(SWEEPS, cmd_sweep),
         "utility": cmd_utility,

@@ -196,6 +196,27 @@ class TestRunners:
             for r in mode_rows:
                 assert r["closed_form_rel_err"] <= 1e-6
 
+    def test_min_delay_sweep_survives_unsupportable_rate_floors(self):
+        # Below t* = 0 the LP's mu >= 0 bounds bind and its t* falls under
+        # the closed form's (HD drop 0 at 3000 pps: -2426.2 against -2310.7),
+        # so only the sign is cross-checked there.
+        cfg = ExperimentConfig(
+            topology=TopologyConfig(kind="line", K=3, w=2),
+            qos=QosConfig(lambda_min_pps=(1000.0, 3000.0)),
+            duplex=DuplexConfig(modes=("hd", "fd"), rinr_db_sweep=(-15.0,)),
+            mc=McConfig(n_drops=5, seed=0),
+        )
+        rows = [r for res in run_min_delay_sweep(cfg) for r in res.rows]
+        mode_rows = [r for r in rows if r["mode"] in ("hd", "fd")]
+        assert len(mode_rows) == 20
+        unsupportable = [r for r in mode_rows if not r["feasible"]]
+        assert unsupportable and max(r["closed_form_rel_err"] for r in unsupportable) > 1e-6
+        for r in unsupportable:
+            assert r["t_star"] <= 0 and r["delta_star_s"] == ""
+        for r in mode_rows:
+            if r["feasible"]:
+                assert r["t_star"] > 0 and r["closed_form_rel_err"] <= 1e-6
+
     def test_queue_validation_report(self):
         cfg = small_cfg(
             qos=QosConfig(delta_s=1.0e-3), mc=McConfig(n_drops=1, seed=0)
@@ -274,6 +295,19 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert os.path.exists(out["csv"])
         assert os.path.exists(out["manifest"])
+
+    @pytest.mark.parametrize("packets", ["0", "-3"])
+    def test_validate_queues_rejects_packet_count_below_one(self, packets, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate-queues", "--packets", packets, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"--packets: must be at least 1, got {packets}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_queue_validation_rejects_packet_count_below_one(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_solve_utility", None)  # fails if reached
+        with pytest.raises(ValueError, match="n_packets"):
+            run_queue_validation(small_cfg(), n_packets=0)
 
     def test_cli_override_is_range_checked(self):
         with pytest.raises(ValueError, match=r"mc\.n_drops"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from iabnet import optimizer
 from iabnet.experiments import _capacities, _drop_links, base_tree, load_config
@@ -63,26 +64,75 @@ class TestMinFeasibleDelay:
             min_feasible_delay(-5.0, 0.9)
 
 
+def _lp_oracle(m, lam_min, prune):
+    """The min-delay LP built one row at a time: (t*, clipped mu, worst
+    constraint violation).  Scheduling rows [0, G_k] <= 1, then rate-gap rows
+    t*h - c_v mu_v <= -lam_min*(F 1)_v: one per edge with h = h~_v when
+    pruned, else one per (UE, route edge) pair with h = h_m."""
+    E, M = m.num_edges, m.num_ue
+    load = m.F @ np.full(M, lam_min)
+    rows, rhs = [], []
+    for k in range(m.G.shape[0]):
+        rows.append(np.concatenate(([0.0], m.G[k])))
+        rhs.append(1.0)
+    if prune:
+        pairs = [(int(m.h_tilde[v]), v) for v in range(E)]
+    else:
+        pairs = [(int(m.h[mi]), v) for mi in range(M) for v in m.routes[mi]]
+    for h, v in pairs:
+        row = np.zeros(1 + E)
+        row[0] = h
+        row[1 + v] = -m.C[v]
+        rows.append(row)
+        rhs.append(-load[v])
+    res = linprog(
+        c=np.concatenate(([-1.0], np.zeros(E))),
+        A_ub=np.array(rows),
+        b_ub=np.array(rhs),
+        bounds=[(None, None)] + [(0.0, 1.0)] * E,
+        method="highs",
+    )
+    assert res.success
+    kkt = float(np.max(np.maximum(np.array(rows) @ res.x - np.array(rhs), 0.0)))
+    return float(res.x[0]), np.clip(res.x[1:], 0.0, 1.0), kkt
+
+
+def _random_lp_instance(mode, seed):
+    rng = np.random.default_rng(seed)
+    _, m = random_instance(rng, mode)
+    return m, rng.uniform(0, feasible_lambda_upper(m, 0.9))
+
+
 class TestMinDelayLp:
     @pytest.mark.parametrize("mode", [HD, FD])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_lp_matches_closed_form(self, mode, seed):
-        rng = np.random.default_rng(seed)
-        _, m = random_instance(rng, mode)
-        lam_min = rng.uniform(0, feasible_lambda_upper(m, 0.9))
+        m, lam_min = _random_lp_instance(mode, seed)
         sol = solve_min_delay_lp(ProblemInstance(matrices=m, eta=0.9,
                                                  lambda_min_pps=lam_min))
         t_cf, _ = closed_form_t_star(m, lam_min)
         assert sol.t_star == pytest.approx(t_cf, rel=1e-8)
 
+    @pytest.mark.parametrize("mode", [HD, FD])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_lp_equals_row_by_row_oracle(self, mode, seed):
+        # the block-built matrix is the oracle's, byte for byte, so HiGHS
+        # returns the same point
+        m, lam_min = _random_lp_instance(mode, seed)
+        sol = solve_min_delay_lp(ProblemInstance(matrices=m, eta=0.9,
+                                                 lambda_min_pps=lam_min))
+        t_star, mu, kkt = _lp_oracle(m, lam_min, prune=True)
+        assert sol.t_star == t_star
+        assert sol.mu.tobytes() == mu.tobytes()
+        assert sol.kkt_residual == kkt
+
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_pruned_and_unpruned_agree(self, seed):
         rng = np.random.default_rng(seed)
         _, m = random_instance(rng, HD)
-        inst = ProblemInstance(matrices=m, eta=0.9, lambda_min_pps=5.0)
-        a = solve_min_delay_lp(inst, prune=True)
-        b = solve_min_delay_lp(inst, prune=False)
-        assert a.t_star == pytest.approx(b.t_star, rel=1e-8)
+        a = solve_min_delay_lp(ProblemInstance(matrices=m, eta=0.9, lambda_min_pps=5.0))
+        t_star, _, _ = _lp_oracle(m, 5.0, prune=False)
+        assert a.t_star == pytest.approx(t_star, rel=1e-8)
 
     def test_infeasible_rate_flagged(self):
         m = network_matrices(line_network(1, 1), HD, 100.0)
@@ -168,6 +218,14 @@ class TestUtilityMax:
                 obj_hd = sol.objective
             else:
                 assert sol.objective >= obj_hd - 1e-9
+
+    def test_uncertified_solve_is_a_numerical_failure(self, monkeypatch):
+        m = network_matrices(line_network(1, 1), HD, 2000.0)
+        inst = ProblemInstance(matrices=m, eta=0.9, delta_s=_feasible_delta(m))
+        assert solve_utility_max(inst).status is SolveStatus.OPTIMAL
+        monkeypatch.setattr(optimizer, "_kkt_residual", lambda *args: 1.0)
+        with pytest.raises(NumericalFailure, match="could not certify"):
+            solve_utility_max(inst)
 
 
 def _geometry_point(rng, m, x_lo=1e-3, x_hi=1e3):
@@ -355,13 +413,17 @@ class TestSolvePd:
             _solve_pd(H, rhs_bad)
 
 
-def _rate_sweep_point(drop, mode, rinr_db):
-    """The utility problem of one point of configs/rate-sweep.json."""
-    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "rate-sweep.json"))
+def _config_point(name, drop, mode, value):
+    """The utility problem of one point of configs/<name>.json, where value
+    is the swept RINR (dB) of rate-sweep or the swept delta (s) of
+    delay-sweep; the other sweeps at its config's first value."""
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"))
+    rinr_db, delta = ((value, cfg.qos.delta_s) if name == "rate-sweep"
+                      else (cfg.duplex.rinr_db_sweep[0], value))
     tree, links = _drop_links(cfg, base_tree(cfg), drop)
     caps = _capacities(cfg, links, mode, rinr_db)
     return ProblemInstance(matrices=network_matrices(tree, mode, caps), eta=cfg.qos.eta,
-                           delta_s=cfg.qos.delta_s)
+                           delta_s=delta)
 
 
 @pytest.fixture
@@ -398,7 +460,25 @@ class TestPinnedSolves:
     )
     def test_optimal_solve_floats_and_steps(self, linear_solves, drop, mode, rinr_db,
                                             objective, kkt, solves):
-        sol = solve_utility_max(_rate_sweep_point(drop, mode, rinr_db))
+        sol = solve_utility_max(_config_point("rate-sweep", drop, mode, rinr_db))
+        assert sol.objective == objective
+        assert sol.kkt_residual == kkt
+        assert linear_solves[0] == solves
+
+    @pytest.mark.parametrize(
+        "config, drop, mode, value, objective, kkt, solves",
+        [
+            # after phase one, center fails at t = 3.2e6 at bisection depths
+            # 0 to 2, then recovers: the only configs/ solve that bisects
+            ("delay-sweep", 3, HD, 2.5e-3, 19.328792529091096, 4.647459121542852e-06, 145),
+            # no start candidate reaches a margin of 1e-3, so the solve starts
+            # from the best one: the only configs/ solve that does
+            ("rate-sweep", 1, FD, 10.0, 24.154115921761907, 4.72052557043412e-07, 66),
+        ],
+    )
+    def test_config_solve_floats_and_steps(self, linear_solves, config, drop, mode, value,
+                                           objective, kkt, solves):
+        sol = solve_utility_max(_config_point(config, drop, mode, value))
         assert sol.objective == objective
         assert sol.kkt_residual == kkt
         assert linear_solves[0] == solves
@@ -408,5 +488,5 @@ class TestPinnedSolves:
         # budget_solves: linear solves when phase one ran until its barrier
         # weight cap, before the duality-gap exit existed
         with pytest.raises(InfeasibleDelay, match="best margin at most"):
-            solve_utility_max(_rate_sweep_point(drop, HD, -20.0))
+            solve_utility_max(_config_point("rate-sweep", drop, HD, -20.0))
         assert linear_solves[0] == solves < budget_solves
