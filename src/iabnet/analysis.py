@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .topology import DuplexMode, NetworkMatrices, line_network, network_matrices
+from .topology import DuplexMode, NetworkMatrices
 from .optimizer import closed_form_t_star
 
 
@@ -51,13 +51,6 @@ class LineNetworkParams:
             raise ValueError("need R_b > R_a > 0")
         if self.lambda_min < 0:
             raise ValueError("lambda_min must be nonnegative")
-
-
-def line_matrices(params: LineNetworkParams, mode: DuplexMode) -> NetworkMatrices:
-    """Matrix form of the line deployment (oracle route to the closed forms)."""
-    tree = line_network(params.K, params.w)
-    caps = np.where(np.arange(tree.num_edges) < params.K, params.R_b, params.R_a)
-    return network_matrices(tree, mode, caps)
 
 
 def bottleneck_profile(params: LineNetworkParams, mode: DuplexMode) -> np.ndarray:

@@ -95,6 +95,18 @@ class ChannelConfig:
     noise_psd_dbm_hz: float = -174.0
     noise_figure_db: float = 10.0
 
+    def __post_init__(self):
+        for name in ("carrier_hz", "bandwidth_hz"):
+            value = getattr(self, name)
+            _require(math.isfinite(value) and value > 0, f"channel.{name}", value,
+                     "positive and finite")
+        for name in ("n_bs_ant", "n_ue_ant"):
+            value = getattr(self, name)
+            _require(value >= 1, f"channel.{name}", value, ">= 1")
+        for name in ("ptx_dbm", "noise_psd_dbm_hz", "noise_figure_db"):
+            value = getattr(self, name)
+            _require(math.isfinite(value), f"channel.{name}", value, "finite")
+
 
 @dataclass(frozen=True)
 class QosConfig:
@@ -105,10 +117,12 @@ class QosConfig:
 
     def __post_init__(self):
         _require(0.0 < self.eta < 1.0, "qos.eta", self.eta, "in (0, 1)")
-        _require(all(d > 0 for d in np.atleast_1d(self.delta_s)), "qos.delta_s",
-                 self.delta_s, "positive")
-        _require(all(v >= 0 for v in np.atleast_1d(self.lambda_min_pps)),
-                 "qos.lambda_min_pps", self.lambda_min_pps, ">= 0")
+        delta_s = np.atleast_1d(self.delta_s)
+        _require(delta_s.size > 0 and all(d > 0 for d in delta_s), "qos.delta_s",
+                 self.delta_s, "positive and non-empty")
+        lambda_min = np.atleast_1d(self.lambda_min_pps)
+        _require(lambda_min.size > 0 and all(v >= 0 for v in lambda_min),
+                 "qos.lambda_min_pps", self.lambda_min_pps, ">= 0 and non-empty")
         _require(self.packet_bytes > 0, "qos.packet_bytes", self.packet_bytes, "positive")
 
 
@@ -119,8 +133,10 @@ class DuplexConfig:
 
     def __post_init__(self):
         modes = tuple(m.value for m in DuplexMode)
-        _require(all(m in modes for m in self.modes), "duplex.modes", self.modes,
-                 f"drawn from {modes}")
+        _require(len(self.modes) > 0 and all(m in modes for m in self.modes), "duplex.modes",
+                 self.modes, f"a non-empty list drawn from {modes}")
+        _require(isinstance(self.rinr_db_sweep, tuple) and len(self.rinr_db_sweep) > 0,
+                 "duplex.rinr_db_sweep", self.rinr_db_sweep, "a non-empty list")
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,7 @@ class McConfig:
 
     def __post_init__(self):
         _require(self.n_drops >= 0, "mc.n_drops", self.n_drops, ">= 0")
+        _require(self.seed >= 0, "mc.seed", self.seed, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -177,7 +194,7 @@ class ExperimentConfig:
                     sub[k] = tuple(v)
                 elif v == "-inf":
                     sub[k] = -math.inf
-            if "rinr_db_sweep" in sub:
+            if isinstance(sub.get("rinr_db_sweep"), tuple):
                 sub["rinr_db_sweep"] = tuple(
                     -math.inf if x == "-inf" else float(x) for x in sub["rinr_db_sweep"]
                 )

@@ -33,13 +33,14 @@ max(|objective|, 1e-3), and a returned solution must pass a gate of 1e-6 on
 the same scale, checked once on the final iterate; a solve that fails the
 gate raises NumericalFailure.
 
-The Newton loop (_newton_barrier, the geometries, _solve_pd, _kkt_residual)
-must keep its float operations: the same matmul operands and layouts, the
-same summation orders, and the same sequence of additions into the gradient
-and Hessian, so that every solve repeats its iterates bit for bit.  Speed-ups
-there cut only interpreter and wrapper overhead; tests/test_optimizer.py
-holds the oracles (the scipy cho_factor/cho_solve solve, the full-assembly
-gradient, and pinned solver floats) that check this.
+The Newton loop (_newton_barrier, _Barrier with its kkt_residual, the
+geometries, _solve_pd) must keep its float operations: the same matmul
+operands and layouts, the same summation orders, and the same sequence of
+additions into the gradient and Hessian, so that every solve repeats its
+iterates bit for bit.  Speed-ups there cut only interpreter and wrapper
+overhead; tests/test_optimizer.py holds the oracles (the scipy
+cho_factor/cho_solve solve, the full-assembly gradient, and pinned solver
+floats) that check this.
 """
 
 from __future__ import annotations
@@ -307,56 +308,60 @@ def _solve_pd(H, rhs):
     raise NumericalFailure("Hessian factorization failed")
 
 
-def _newton_barrier(z0, f_val, f_grad_hess, t_bar, geom, g_floor, box_lo, box_hi, Gmat, M,
-                    gtol=0.0):
-    """Minimize t_bar * f(z) - sum log(slacks).  Returns (z, converged).
-
-    f_val(z) returns the objective value; f_grad_hess(z) its gradient and
-    the diagonal of its Hessian.  Slacks: z - box_lo, box_hi - z (finite
-    entries only), 1 - G mu, and the latency margins g_m via geom.
+class _Barrier:
+    """One barrier problem, min f(z) - sum log(slacks) / t, built once per
+    solve (and per phase-one run) with its slack layout and constraint count
+    n_con.  f_val(z) returns the objective value; f_grad_hess(z) its gradient
+    and the diagonal of its Hessian.  Slacks: z - box_lo, box_hi - z (finite
+    entries only), 1 - G mu with mu = z[M:], and the margins g_m via geom.
     """
-    z = z0.copy()
-    d = z.size
-    lo_idx = np.flatnonzero(np.isfinite(box_lo))
-    hi_idx = np.flatnonzero(np.isfinite(box_hi))
-    lo_val, hi_val = box_lo[lo_idx], box_hi[hi_idx]
-    diag = np.diag_indices(d)
 
-    def slacks(zz):
-        """(g, x, s_lo, s_hi, s_g) at a strictly feasible zz, else None."""
-        g, x = geom.eval(zz, g_floor)
+    def __init__(self, f_val, f_grad_hess, geom, log_eta, box_lo, box_hi, Gmat, M):
+        self.f_val, self.f_grad_hess = f_val, f_grad_hess
+        self.geom, self.log_eta = geom, log_eta
+        self.Gmat, self.M = Gmat, M
+        self.d = d = box_lo.size
+        self.lo_idx = np.flatnonzero(np.isfinite(box_lo))
+        self.hi_idx = np.flatnonzero(np.isfinite(box_hi))
+        self.lo_val, self.hi_val = box_lo[self.lo_idx], box_hi[self.hi_idx]
+        self.diag = np.diag_indices(d)
+        self.B = np.zeros((Gmat.shape[0], d))
+        self.B[:, M:] = Gmat
+        self.n_con = self.lo_idx.size + self.hi_idx.size + Gmat.shape[0] + M
+
+    def slacks(self, z):
+        """(g, x, s_lo, s_hi, s_g) at a strictly feasible z, else None."""
+        g, x = self.geom.eval(z, self.log_eta)
         if g is None or not g.min() > 0:
             return None
-        s_lo = zz[lo_idx] - lo_val
-        s_hi = hi_val - zz[hi_idx]
-        s_g = 1.0 - Gmat @ zz[M:]
+        s_lo = z[self.lo_idx] - self.lo_val
+        s_hi = self.hi_val - z[self.hi_idx]
+        s_g = 1.0 - self.Gmat @ z[self.M:]
         if s_lo.min() > 0 and s_hi.min() > 0 and s_g.min() > 0:
             return g, x, s_lo, s_hi, s_g
         return None
 
     # work with f + phi/t rather than t*f + phi: same minimizer, but the
     # value stays O(|f|) at large t, so line-search progress is resolvable
-    def barrier_value(zz, st):
+    def value(self, z, st, t_bar):
         g, _, s_lo, s_hi, s_g = st
-        return f_val(zz) - (
+        return self.f_val(z) - (
             np.log(g).sum()
             + np.log(s_lo).sum()
             + np.log(s_hi).sum()
             + np.log(s_g).sum()
         ) / t_bar
 
-    B = np.zeros((Gmat.shape[0], d))
-    B[:, M:] = Gmat
-
-    def assemble(zz, st, hess=True):
-        """The barrier gradient at zz, and its Hessian if hess (else None)."""
+    def assemble(self, z, st, t_bar, hess=True):
+        """The barrier gradient at z, and its Hessian if hess (else None)."""
         g, x, s_lo, s_hi, s_g = st
-        fgrad, fhess = f_grad_hess(zz)
+        d, lo_idx, hi_idx, B = self.d, self.lo_idx, self.hi_idx, self.B
+        fgrad, fhess = self.f_grad_hess(z)
         grad = fgrad.copy()
         if hess:
-            gl, Hl, _ = geom.grad_hess_barrier(zz, g, x)
+            gl, Hl, _ = self.geom.grad_hess_barrier(z, g, x)
         else:
-            gl = geom.grad_barrier(zz, g, x)
+            gl = self.geom.grad_barrier(z, g, x)
         grad += gl / t_bar
         gb = np.zeros(d)
         gb[lo_idx] -= 1.0 / s_lo
@@ -367,23 +372,41 @@ def _newton_barrier(z0, f_val, f_grad_hess, t_bar, geom, g_floor, box_lo, box_hi
             return grad, None
 
         H = np.zeros((d, d))
-        H[diag] += fhess
+        H[self.diag] += fhess
         H += Hl / t_bar
         hb = np.zeros(d)
         hb[lo_idx] += 1.0 / s_lo**2
         hb[hi_idx] += 1.0 / s_hi**2
-        H[diag] += hb / t_bar
+        H[self.diag] += hb / t_bar
         H += B.T @ ((1.0 / s_g**2)[:, None] * B) / t_bar
         return grad, H
 
+    def kkt_residual(self, z, t_bar):
+        """Stationarity residual with the barrier dual estimates nu_i = 1/(t h_i)."""
+        g, x, s_lo, s_hi, s_g = self.slacks(z)
+        fgrad, _ = self.f_grad_hess(z)
+        r = fgrad.copy()  # gradient of the minimized objective (-utility)
+
+        r += self.geom.grad_barrier(z, g, x) / t_bar
+
+        r[self.lo_idx] -= 1.0 / (t_bar * s_lo)
+        r[self.hi_idx] += 1.0 / (t_bar * s_hi)
+        r += self.B.T @ (1.0 / (t_bar * s_g))
+        return float(np.abs(r).max())
+
+
+def _newton_barrier(barrier, z0, t_bar, gtol=0.0):
+    """Minimize the barrier problem at weight t_bar from z0.  Returns (z, converged)."""
+    slacks, value, assemble = barrier.slacks, barrier.value, barrier.assemble
+    z = z0.copy()
     state = slacks(z)
     if state is None:
         raise NumericalFailure("barrier start point not strictly feasible")
-    bval = barrier_value(z, state)
+    bval = value(z, state, t_bar)
 
     grad_phase = False  # value progress exhausted; descend on gradient norm
     for _ in range(_MAX_NEWTON):
-        grad, H = assemble(z, state)
+        grad, H = assemble(z, state, t_bar)
         gnorm = float(np.abs(grad).max())
 
         # the rescaled gradient is the KKT stationarity residual with the
@@ -407,7 +430,7 @@ def _newton_barrier(z0, f_val, f_grad_hess, t_bar, geom, g_floor, box_lo, box_hi
                 cand = z + t_step * step
                 st = slacks(cand)
                 if st is not None:
-                    bc = barrier_value(cand, st)
+                    bc = value(cand, st, t_bar)
                     if bc <= bval - 0.25 * t_step * decrement + 4e-16 * scale:
                         z, bval, state = cand, bc, st
                         accepted = True
@@ -423,9 +446,9 @@ def _newton_barrier(z0, f_val, f_grad_hess, t_bar, geom, g_floor, box_lo, box_hi
                 cand = z + t_step * step
                 st = slacks(cand)
                 if st is not None:
-                    gc, _ = assemble(cand, st, hess=False)
+                    gc, _ = assemble(cand, st, t_bar, hess=False)
                     if float(np.abs(gc).max()) < 0.9 * gnorm:
-                        z, bval, state = cand, barrier_value(cand, st), st
+                        z, bval, state = cand, value(cand, st, t_bar), st
                         accepted = True
                         break
                 t_step *= 0.5
@@ -433,12 +456,6 @@ def _newton_barrier(z0, f_val, f_grad_hess, t_bar, geom, g_floor, box_lo, box_hi
                 # gradient is at its float-precision floor for this t_bar
                 return z, gnorm <= max(gtol, 1e-9 * scale)
     return z, False
-
-
-def _num_constraints(box_lo, box_hi, Gmat, M) -> int:
-    """Inequality count of a barrier problem: finite box bounds, scheduling
-    rows and the M delivery margins."""
-    return int(np.isfinite(box_lo).sum() + np.isfinite(box_hi).sum()) + Gmat.shape[0] + M
 
 
 def _sum_log(lam: np.ndarray) -> float:
@@ -521,17 +538,14 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
         hd[:M] = 1.0 / lam**2
         return grad, hd
 
-    n_con = _num_constraints(box_lo, box_hi, Gmat, M)
+    barrier = _Barrier(f_val, f_grad_hess, geom, log_eta, box_lo, box_hi, Gmat, M)
 
     def gtol_for(zz):
         return 0.4e-6 * max(abs(_sum_log(zz[:M])), 1e-3)
 
     def center(zz, t_from, t_to, depth=0):
         """Re-center at barrier weight t_to, bisecting the jump on failure."""
-        z2, ok = _newton_barrier(
-            zz, f_val, f_grad_hess, t_to, geom, log_eta, box_lo, box_hi, Gmat, M,
-            gtol=gtol_for(zz),
-        )
+        z2, ok = _newton_barrier(barrier, zz, t_to, gtol_for(zz))
         if ok:
             return z2
         if depth >= 6 or t_to / t_from < 1.3:
@@ -542,7 +556,7 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
     t_bar = 1.0
     z = center(z, 1.0, t_bar)
     while t_bar <= 1e14:
-        gap = n_con / t_bar
+        gap = barrier.n_con / t_bar
         if gap <= 1e-6 * max(abs(_sum_log(z[:M])), 1e-3):
             break
         try:
@@ -554,7 +568,7 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
     # every centering returns a gradient norm within gtol_for, and that
     # gradient is the KKT residual at its barrier weight: the 1e-6 gate
     # below sits 2.5x above the 0.4e-6 inner tolerance
-    kkt = _kkt_residual(z, f_grad_hess, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M)
+    kkt = barrier.kkt_residual(z, t_bar)
     obj = _sum_log(z[:M])
     if kkt > 1e-6 * max(abs(obj), 1e-3):
         raise NumericalFailure(
@@ -631,10 +645,10 @@ def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M):
     def f_grad_hess(zz):
         return grad_s, np.zeros(d + 1)
 
-    n_con = _num_constraints(lo, hi, Gext, M)
+    barrier = _Barrier(f_val, f_grad_hess, sg, log_eta, lo, hi, Gext, M)
     t_bar = 1.0
     while t_bar <= 1e12:
-        ze, ok = _newton_barrier(ze, f_val, f_grad_hess, t_bar, sg, log_eta, lo, hi, Gext, M)
+        ze, ok = _newton_barrier(barrier, ze, t_bar)
         g, _ = geom.eval(ze[:-1], log_eta)
         if g is not None and g.min() > 1e-8:
             return ze[:-1]
@@ -643,7 +657,7 @@ def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M):
         # at a centered point the duality gap n_con/t bounds how far s is
         # below the best achievable margin (Boyd & Vandenberghe 11.4.1)
         s = float(ze[-1])
-        s_bound = s + n_con / t_bar
+        s_bound = s + barrier.n_con / t_bar
         if s_bound < -1e-9 * max(1.0, abs(s)):
             raise InfeasibleDelay(
                 "no strictly feasible point for the delivery-probability "
@@ -656,26 +670,6 @@ def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M):
         "no strictly feasible point for the delivery-probability constraints "
         f"(best margin {float(g.min()) if g is not None else float('nan'):.3g})"
     )
-
-
-def _kkt_residual(z, f_grad_hess, t_bar, geom, log_eta, box_lo, box_hi, Gmat, M):
-    """Stationarity residual with the barrier dual estimates nu_i = 1/(t h_i)."""
-    d = z.size
-    g, x = geom.eval(z, log_eta)
-    fgrad, _ = f_grad_hess(z)
-    r = fgrad.copy()  # gradient of the minimized objective (-utility)
-
-    r += geom.grad_barrier(z, g, x) / t_bar
-
-    lo_idx = np.isfinite(box_lo)
-    hi_idx = np.isfinite(box_hi)
-    r[lo_idx] -= 1.0 / (t_bar * (z[lo_idx] - box_lo[lo_idx]))
-    r[hi_idx] += 1.0 / (t_bar * (box_hi[hi_idx] - z[hi_idx]))
-    s_g = 1.0 - Gmat @ z[M:]
-    B = np.zeros((Gmat.shape[0], d))
-    B[:, M:] = Gmat
-    r += B.T @ (1.0 / (t_bar * s_g))
-    return float(np.abs(r).max())
 
 
 def constraint_report(instance: ProblemInstance, sol: Solution) -> dict:

@@ -325,19 +325,22 @@ def network_matrices(
     return NetworkMatrices(F=F, G=G, C=c, h=h, h_tilde=h_tilde, routes=routes, mode=mode)
 
 
-def tree_to_json(tree: RoutingTree) -> str:
-    """Serialize to the interchange schema (vertices list + parents map)."""
-    vertices = []
-    for v in sorted(tree.vertex_kind):
-        entry: dict = {"id": v, "kind": tree.vertex_kind[v]}
-        if tree.positions and v in tree.positions:
-            entry["pos"] = list(tree.positions[v])
-        vertices.append(entry)
-    parents = {str(v): p for v, p in sorted(tree.parent.items())}
-    return json.dumps({"vertices": vertices, "parents": parents})
-
-
 def tree_from_json(text: str) -> RoutingTree:
+    """Build a routing tree from its JSON form, the file that
+    topology.tree_json names for topology.kind "custom":
+
+        {"vertices": [{"id": 0, "kind": "donor", "pos": [0.0, 0.0]},
+                      {"id": 1, "kind": "iab", "pos": [200.0, 0.0]},
+                      {"id": 2, "kind": "ue"}, ...],
+         "parents": {"1": 0, "2": 1, ...}}
+
+    Ids follow build_tree's convention: the donor is 0, the IAB nodes are
+    1..num_iab and the UEs take the ids after them.  "kind" is "donor",
+    "iab" or "ue"; "pos" is an optional [x, y] position in metres.  The
+    sweeps need every BS position (UEs are dropped around their serving BS
+    on each drop).  "parents" maps every vertex but the donor, keyed by its
+    id as a string, to its parent's id.  build_tree validates the result.
+    """
     obj = json.loads(text)
     kinds = {int(v["id"]): v["kind"] for v in obj["vertices"]}
     positions = {

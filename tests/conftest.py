@@ -1,7 +1,10 @@
-"""Shared helpers: random routing trees, random problem instances, and the
+"""Shared helpers: random routing trees, random problem instances, the
+test-only line-matrix and tree-serialization oracles, and the
 acceptance-summary reporter."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -19,7 +22,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from iabnet.topology import DuplexMode, RoutingTree, build_tree, network_matrices
+from iabnet.analysis import LineNetworkParams
+from iabnet.topology import (
+    DuplexMode,
+    NetworkMatrices,
+    RoutingTree,
+    build_tree,
+    line_network,
+    network_matrices,
+)
 
 
 def random_tree(
@@ -64,3 +75,23 @@ def feasible_lambda_upper(matrices, frac: float = 1.0) -> float:
     a = matrices.G @ (matrices.F.sum(axis=1) / matrices.C)
     pos = a[a > 0]
     return frac * (1.0 / pos.max()) if pos.size else np.inf
+
+
+def line_matrices(params: LineNetworkParams, mode: DuplexMode) -> NetworkMatrices:
+    """Matrix form of the line deployment (oracle route to the closed forms
+    of iabnet.analysis)."""
+    tree = line_network(params.K, params.w)
+    caps = np.where(np.arange(tree.num_edges) < params.K, params.R_b, params.R_a)
+    return network_matrices(tree, mode, caps)
+
+
+def tree_to_json(tree: RoutingTree) -> str:
+    """Serialize to the schema iabnet.topology.tree_from_json reads."""
+    vertices = []
+    for v in sorted(tree.vertex_kind):
+        entry: dict = {"id": v, "kind": tree.vertex_kind[v]}
+        if tree.positions and v in tree.positions:
+            entry["pos"] = list(tree.positions[v])
+        vertices.append(entry)
+    parents = {str(v): p for v, p in sorted(tree.parent.items())}
+    return json.dumps({"vertices": vertices, "parents": parents})

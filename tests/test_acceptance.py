@@ -43,7 +43,7 @@ from iabnet.optimizer import (
 from iabnet.queueing import simulate
 from iabnet.topology import DuplexMode, line_network, network_matrices
 
-from conftest import feasible_lambda_upper, random_instance, record_acceptance
+from conftest import feasible_lambda_upper, line_matrices, random_instance, record_acceptance
 
 HD, FD = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
 ETA = 0.9
@@ -117,8 +117,6 @@ def test_criterion_2_line_closed_form_matches_matrix_form():
             for lam in lams:
                 p = LineNetworkParams(K=K, w=w, R_b=Rb, R_a=Ra, lambda_min=float(lam))
                 for mode in (HD, FD):
-                    from iabnet.analysis import line_matrices
-
                     m = line_matrices(p, mode)
                     t_cf, _ = closed_form_t_star(m, float(lam))
                     t_ln = t_star_line(p, mode)

@@ -17,12 +17,13 @@ from iabnet.analysis import (
     k_max,
     latency_gain,
     latency_gain_line,
-    line_matrices,
     t_star_line,
     write_line_sweep_csv,
 )
 from iabnet.optimizer import closed_form_t_star
 from iabnet.topology import DuplexMode
+
+from conftest import line_matrices
 
 HD, FD = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
 

@@ -1,5 +1,6 @@
 """Experiment harness: configs, Monte Carlo discipline, persistence, CLI."""
 
+import hashlib
 import json
 import math
 import os
@@ -29,8 +30,37 @@ from iabnet.experiments import (
 from iabnet.experiments import _budget, _drop_links, _packet_bits
 from iabnet.topology import DuplexMode, line_network
 
+from conftest import tree_to_json
+
 HD, FD = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+# sha256 of every artifact test_config_runs_its_subcommand makes each config
+# write at --drops 1: its CSV or JSON files (the .run.json manifest, which
+# holds the output directory, is skipped) or, for kmax, which writes no file,
+# its stdout.  Recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31
+# (the same with 1 and 2 BLAS threads); another BLAS build may round
+# differently and fail this without a fault in iabnet.  A change may
+# regenerate these values only if it says why they moved.
+CONFIG_DIGESTS = {
+    "delay-sweep": {
+        "delay_sweep.csv": "cbbd0814a4150cb521bedc0fb84434396bb03a0328813e241af1d74dd990f22a",
+    },
+    "kmax": {"stdout": "269c31b0cae8106b5812edc08850a7b0e15020470bf79b7b64af63e4e261208a"},
+    "latency-gain": {
+        "latency_gain.csv": "a4b7cb2fe6579c90c9cac3d8d2b3a0b7a4dbf850c8e5f4e0ef2b330c65f016e6",
+    },
+    "min-delay": {
+        "min_delay.csv": "e5ccb19d0d858cab3ade1d840323a95581bda6410e91c41c82c593c4f2099ba1",
+    },
+    "rate-sweep": {
+        "rate_sweep.csv": "e041aa2832bd0d5da93471884ca04c1cf06399e3a58d1b177d13900d20908a15",
+    },
+    "validate-queues": {
+        "queue_validation.json":
+            "9e04cf4eb9d0b9436cba0eba0085842bbcc89e6c2d26e065f3247d22b84c6759",
+    },
+}
 
 
 def small_cfg(**overrides):
@@ -80,6 +110,20 @@ class TestConfig:
             ("topology", "ue_radius_m", 6000.0),
             ("qos", "lambda_min_pps", [10.0, -5.0]),
             ("qos", "packet_bytes", 0),
+            ("qos", "delta_s", []),
+            ("qos", "lambda_min_pps", []),
+            ("duplex", "rinr_db_sweep", -15.0),
+            ("duplex", "rinr_db_sweep", []),
+            ("duplex", "modes", []),
+            ("mc", "seed", -1),
+            ("channel", "n_bs_ant", 0),
+            ("channel", "n_ue_ant", 0),
+            ("channel", "bandwidth_hz", 0),
+            ("channel", "carrier_hz", -1),
+            ("channel", "carrier_hz", math.inf),
+            ("channel", "ptx_dbm", math.nan),
+            ("channel", "noise_psd_dbm_hz", "-inf"),
+            ("channel", "noise_figure_db", math.inf),
             # a custom tree without topology.tree_json; the message names
             # that field and the topology.kind it depends on
             ("topology", "kind", "custom"),
@@ -96,8 +140,6 @@ class TestConfig:
         assert cfg.mc == McConfig(n_drops=7, seed=9)
 
     def test_custom_tree_from_json(self, tmp_path):
-        from iabnet.topology import tree_to_json
-
         tree = line_network(2, 1)
         p = tmp_path / "tree.json"
         p.write_text(tree_to_json(tree))
@@ -325,4 +367,21 @@ class TestCli:
             "latency-gain": ["--ra-pps", "2500", "--rb-pps", "7500"],
         }.get(path.stem, [])
         assert cli.main(argv) == 0
-        assert json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert json.loads(out)
+        if path.stem == "kmax":
+            written = {"stdout": out.encode()}
+        else:
+            written = {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                       if not p.name.endswith(".run.json")}
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
+        assert digests == CONFIG_DIGESTS[path.stem]
+
+    def test_utility_subcommand_certifies_both_modes(self, capsys):
+        path = next(p for p in CONFIGS if p.stem == "rate-sweep")
+        assert cli.main(["utility", "--config", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"hd", "fd"}
+        for sol in out.values():
+            assert sol["status"] == "optimal"
+            assert sol["kkt_residual"] <= 1e-6 * max(abs(sol["objective"]), 1e-3)

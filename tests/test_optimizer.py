@@ -223,7 +223,7 @@ class TestUtilityMax:
         m = network_matrices(line_network(1, 1), HD, 2000.0)
         inst = ProblemInstance(matrices=m, eta=0.9, delta_s=_feasible_delta(m))
         assert solve_utility_max(inst).status is SolveStatus.OPTIMAL
-        monkeypatch.setattr(optimizer, "_kkt_residual", lambda *args: 1.0)
+        monkeypatch.setattr(optimizer._Barrier, "kkt_residual", lambda self, z, t_bar: 1.0)
         with pytest.raises(NumericalFailure, match="could not certify"):
             solve_utility_max(inst)
 

@@ -17,11 +17,10 @@ from iabnet.topology import (
     routing_matrix,
     scheduling_matrix,
     tree_from_json,
-    tree_to_json,
     two_child_tree,
 )
 
-from conftest import random_tree
+from conftest import random_tree, tree_to_json
 
 HD, FD = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
 
