@@ -19,9 +19,9 @@ from .topology import (
 from .optimizer import (
     InfeasibleDelay,
     InfeasibleRate,
+    MinDelay,
     ProblemInstance,
     Solution,
-    SolveStatus,
     closed_form_t_star,
     min_feasible_delay,
     solve_min_delay_lp,
@@ -51,9 +51,9 @@ __all__ = [
     "two_child_tree",
     "InfeasibleDelay",
     "InfeasibleRate",
+    "MinDelay",
     "ProblemInstance",
     "Solution",
-    "SolveStatus",
     "closed_form_t_star",
     "min_feasible_delay",
     "solve_min_delay_lp",

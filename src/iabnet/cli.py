@@ -67,7 +67,13 @@ def cmd_utility(args) -> int:
     for mode in (DuplexMode(m) for m in cfg.duplex.modes):
         caps = experiments._capacities(cfg, links, mode, rinr)
         sol, status, _ = experiments._solve_utility(cfg, tree, mode, caps, delta)
-        out[mode.value] = json.loads(sol.to_json()) if sol else {"status": status}
+        out[mode.value] = {"status": status} if sol is None else {
+            "status": status,
+            "lambda": [float(v) for v in sol.lam],
+            "mu": [float(v) for v in sol.mu],
+            "objective": sol.objective,
+            "kkt_residual": sol.kkt_residual,
+        }
     print(json.dumps(out, indent=2))
     return 0
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -40,10 +41,9 @@ from .optimizer import (
     InfeasibleDelay,
     NumericalFailure,
     ProblemInstance,
-    Solution,
-    SolveStatus,
     closed_form_t_star,
     constraint_report,
+    min_feasible_delay,
     solve_min_delay_lp,
     solve_utility_max,
 )
@@ -62,6 +62,14 @@ def _require(ok: bool, name: str, value, rule: str) -> None:
         raise ValueError(f"config field {name} must be {rule}, got {value!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TopologyConfig:
     kind: str = "line"           # line | two_child | custom
@@ -74,13 +82,14 @@ class TopologyConfig:
     def __post_init__(self):
         kinds = ("line", "two_child", "custom")
         _require(self.kind in kinds, "topology.kind", self.kind, f"one of {kinds}")
-        _require(self.K >= 0, "topology.K", self.K, ">= 0")
-        _require(self.w >= 1, "topology.w", self.w, ">= 1")
+        _require(_is_int(self.K) and self.K >= 0, "topology.K", self.K, "an integer >= 0")
+        _require(_is_int(self.w) and self.w >= 1, "topology.w", self.w, "an integer >= 1")
         # BS-BS and BS-UE distances must stay inside the pathloss model's range
-        _require(10.0 <= self.spacing_m <= 5000.0, "topology.spacing_m",
-                 self.spacing_m, "in [10, 5000] m")
-        _require(MIN_UE_DISTANCE_M < self.ue_radius_m <= 5000.0, "topology.ue_radius_m",
-                 self.ue_radius_m, f"in ({MIN_UE_DISTANCE_M:g}, 5000] m")
+        _require(_is_real(self.spacing_m) and 10.0 <= self.spacing_m <= 5000.0,
+                 "topology.spacing_m", self.spacing_m, "a number in [10, 5000] m")
+        _require(_is_real(self.ue_radius_m) and MIN_UE_DISTANCE_M < self.ue_radius_m <= 5000.0,
+                 "topology.ue_radius_m", self.ue_radius_m,
+                 f"a number in ({MIN_UE_DISTANCE_M:g}, 5000] m")
         _require(self.kind != "custom" or bool(self.tree_json), "topology.tree_json",
                  self.tree_json, "a path when topology.kind is 'custom'")
 
@@ -98,14 +107,15 @@ class ChannelConfig:
     def __post_init__(self):
         for name in ("carrier_hz", "bandwidth_hz"):
             value = getattr(self, name)
-            _require(math.isfinite(value) and value > 0, f"channel.{name}", value,
-                     "positive and finite")
+            _require(_is_real(value) and math.isfinite(value) and value > 0,
+                     f"channel.{name}", value, "a positive finite number")
         for name in ("n_bs_ant", "n_ue_ant"):
             value = getattr(self, name)
-            _require(value >= 1, f"channel.{name}", value, ">= 1")
+            _require(_is_int(value) and value >= 1, f"channel.{name}", value, "an integer >= 1")
         for name in ("ptx_dbm", "noise_psd_dbm_hz", "noise_figure_db"):
             value = getattr(self, name)
-            _require(math.isfinite(value), f"channel.{name}", value, "finite")
+            _require(_is_real(value) and math.isfinite(value), f"channel.{name}", value,
+                     "a finite number")
 
 
 @dataclass(frozen=True)
@@ -116,14 +126,16 @@ class QosConfig:
     packet_bytes: int = 10000
 
     def __post_init__(self):
-        _require(0.0 < self.eta < 1.0, "qos.eta", self.eta, "in (0, 1)")
+        _require(_is_real(self.eta) and 0.0 < self.eta < 1.0, "qos.eta", self.eta,
+                 "a number in (0, 1)")
         delta_s = np.atleast_1d(self.delta_s)
-        _require(delta_s.size > 0 and all(d > 0 for d in delta_s), "qos.delta_s",
-                 self.delta_s, "positive and non-empty")
+        _require(delta_s.size > 0 and all(_is_real(d) and d > 0 for d in delta_s),
+                 "qos.delta_s", self.delta_s, "positive numbers, non-empty")
         lambda_min = np.atleast_1d(self.lambda_min_pps)
-        _require(lambda_min.size > 0 and all(v >= 0 for v in lambda_min),
-                 "qos.lambda_min_pps", self.lambda_min_pps, ">= 0 and non-empty")
-        _require(self.packet_bytes > 0, "qos.packet_bytes", self.packet_bytes, "positive")
+        _require(lambda_min.size > 0 and all(_is_real(v) and v >= 0 for v in lambda_min),
+                 "qos.lambda_min_pps", self.lambda_min_pps, "numbers >= 0, non-empty")
+        _require(_is_int(self.packet_bytes) and self.packet_bytes > 0, "qos.packet_bytes",
+                 self.packet_bytes, "a positive integer")
 
 
 @dataclass(frozen=True)
@@ -135,8 +147,11 @@ class DuplexConfig:
         modes = tuple(m.value for m in DuplexMode)
         _require(len(self.modes) > 0 and all(m in modes for m in self.modes), "duplex.modes",
                  self.modes, f"a non-empty list drawn from {modes}")
-        _require(isinstance(self.rinr_db_sweep, tuple) and len(self.rinr_db_sweep) > 0,
-                 "duplex.rinr_db_sweep", self.rinr_db_sweep, "a non-empty list")
+        _require(isinstance(self.rinr_db_sweep, tuple) and len(self.rinr_db_sweep) > 0
+                 and all(_is_real(x) and (math.isfinite(x) or x == -math.inf)
+                         for x in self.rinr_db_sweep),
+                 "duplex.rinr_db_sweep", self.rinr_db_sweep,
+                 "a non-empty list of finite numbers or '-inf'")
 
 
 @dataclass(frozen=True)
@@ -145,8 +160,9 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require(self.n_drops >= 0, "mc.n_drops", self.n_drops, ">= 0")
-        _require(self.seed >= 0, "mc.seed", self.seed, ">= 0")
+        _require(_is_int(self.n_drops) and self.n_drops >= 0, "mc.n_drops", self.n_drops,
+                 "an integer >= 0")
+        _require(_is_int(self.seed) and self.seed >= 0, "mc.seed", self.seed, "an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -196,7 +212,8 @@ class ExperimentConfig:
                     sub[k] = -math.inf
             if isinstance(sub.get("rinr_db_sweep"), tuple):
                 sub["rinr_db_sweep"] = tuple(
-                    -math.inf if x == "-inf" else float(x) for x in sub["rinr_db_sweep"]
+                    -math.inf if x == "-inf" else float(x) if _is_real(x) else x
+                    for x in sub["rinr_db_sweep"]
                 )
             return cls(**sub)
 
@@ -391,37 +408,33 @@ def run_min_delay_sweep(cfg: ExperimentConfig) -> list[DropResult]:
         ]
         rows = []
         for lam_min in lambdas:
-            per_mode: dict[DuplexMode, Solution] = {}
+            t_stars: dict[DuplexMode, float] = {}
             for mode, mats in mode_mats:
-                sol = solve_min_delay_lp(
-                    ProblemInstance(matrices=mats, eta=cfg.qos.eta, lambda_min_pps=lam_min)
-                )
+                t_star = solve_min_delay_lp(mats, lam_min).t_star
                 t_cf, k_cf = closed_form_t_star(mats, lam_min)
-                rel = abs(sol.t_star - t_cf) / max(abs(t_cf), 1e-300)
-                if (rel > 1e-6) if t_cf > 0 else (sol.t_star > 0):
+                rel = abs(t_star - t_cf) / max(abs(t_cf), 1e-300)
+                if (rel > 1e-6) if t_cf > 0 else (t_star > 0):
                     raise NumericalFailure(
-                        f"LP / closed-form disagreement: {sol.t_star} vs {t_cf}"
+                        f"LP / closed-form disagreement: {t_star} vs {t_cf}"
                     )
-                per_mode[mode] = sol
+                t_stars[mode] = t_star
                 rows.append(
                     {
                         "drop": drop,
                         "lambda_min_pps": lam_min,
                         "mode": mode.value,
-                        "t_star": sol.t_star,
-                        "delta_star_s": sol.delta_star_s if sol.delta_star_s else "",
-                        "feasible": sol.status is SolveStatus.OPTIMAL,
+                        "t_star": t_star,
+                        "delta_star_s": (min_feasible_delay(t_star, cfg.qos.eta)
+                                         if t_star > 0 else ""),
+                        "feasible": t_star > 0,
                         "bottleneck_bs": k_cf,
                         "closed_form_rel_err": rel,
                     }
                 )
-            hd = per_mode.get(DuplexMode.HALF_DUPLEX)
-            fd = per_mode.get(DuplexMode.FULL_DUPLEX)
+            hd = t_stars.get(DuplexMode.HALF_DUPLEX)
+            fd = t_stars.get(DuplexMode.FULL_DUPLEX)
             if hd is not None and fd is not None:
-                gain, _ = _gain_cell(
-                    fd.t_star if fd.t_star > 0 else None,
-                    hd.t_star if hd.t_star > 0 else None,
-                )
+                gain, _ = _gain_cell(fd if fd > 0 else None, hd if hd > 0 else None)
                 rows.append(
                     {
                         "drop": drop,
@@ -429,7 +442,7 @@ def run_min_delay_sweep(cfg: ExperimentConfig) -> list[DropResult]:
                         "mode": "gain",
                         "t_star": "",
                         "delta_star_s": "",
-                        "feasible": hd.t_star > 0 and fd.t_star > 0,
+                        "feasible": hd > 0 and fd > 0,
                         "bottleneck_bs": "",
                         "closed_form_rel_err": "",
                         "gain": gain,

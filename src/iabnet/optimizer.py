@@ -1,18 +1,24 @@
 """Solvers for the network design problems.
 
 Two problems over arrival rates lambda (per UE, packets/s) and time fractions
-mu (per edge):
+mu (per edge), each with its own input and result type:
 
-* minimum feasible delay: after the change of variable t = -log(1-eta)/delta
-  this is a linear program maximizing t with per-(edge, UE) rate-gap
-  constraints; solved with an LP solver and cross-checked against the
-  closed-form row-minimum expression (implemented here independently).
+* minimum feasible delay, solve_min_delay_lp(matrices, lambda_min) ->
+  MinDelay: after the change of variable t = -log(1-eta)/delta this is a
+  linear program maximizing t with per-(edge, UE) rate-gap constraints;
+  solved with an LP solver and cross-checked against the closed-form
+  row-minimum expression (implemented here independently).  t* <= 0 means
+  the rate floor cannot be supported; min_feasible_delay(t*, eta) turns a
+  positive t* into the delay delta*.
 
-* utility maximization of one objective, the sum-log (proportional-fair)
-  utility sum log(lambda_m), under scheduling and the per-route delivery
-  probability constraint sum log(1 - exp(-gap*delta/h_m)) >= log(eta);
-  solved with a log-barrier interior-point method with damped Newton steps,
-  returning KKT-certified solutions.  Each route constraint sees (lambda, mu)
+* utility maximization, solve_utility_max(ProblemInstance) -> Solution, of
+  one objective, the sum-log (proportional-fair) utility sum log(lambda_m),
+  under scheduling and the per-route delivery probability constraint
+  sum log(1 - exp(-gap*delta/h_m)) >= log(eta); solved with a log-barrier
+  interior-point method with damped Newton steps.  It returns only
+  KKT-certified solutions and raises otherwise: InfeasibleDelay when no
+  strictly feasible point exists, NumericalFailure when the solver fails.
+  Each route constraint sees (lambda, mu)
   only through the |E| edge gaps C mu - F lambda, so the barrier gradient and
   Hessian are assembled in edge space (_LatencyGeometry) from per-pair
   vectors: O(M d^2) flops per Newton step for d = M + |E| variables, where a
@@ -45,10 +51,8 @@ floats) that check this.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -66,11 +70,6 @@ BARRIER_MULT = 20.0
 _MAX_NEWTON = 200
 
 
-class SolveStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-
-
 class InfeasibleRate(ValueError):
     """The network cannot support the requested per-UE arrival rate."""
 
@@ -85,48 +84,39 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Immutable solver input.
-
-    delta_s drives the utility problem; lambda_min_pps drives the min-delay
-    problem.  eta is the delivery probability target.
-    """
+    """Input of the utility problem: the network, the delivery probability
+    target eta and the delay threshold delta_s."""
 
     matrices: NetworkMatrices
     eta: float
-    delta_s: float | None = None
-    lambda_min_pps: float | None = None
+    delta_s: float
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
-        if self.delta_s is not None and self.delta_s <= 0:
+        if self.delta_s <= 0:
             raise ValueError("delta must be positive")
-        if self.lambda_min_pps is not None and self.lambda_min_pps < 0:
-            raise ValueError("lambda_min must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Solution:
-    status: SolveStatus
-    lam: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    objective: float | None = None
-    t_star: float | None = None
-    delta_star_s: float | None = None
-    kkt_residual: float | None = None
+    """A KKT-certified utility optimum."""
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "status": self.status.value,
-                "t_star": self.t_star,
-                "delta_star_s": self.delta_star_s,
-                "lambda": None if self.lam is None else [float(v) for v in self.lam],
-                "mu": None if self.mu is None else [float(v) for v in self.mu],
-                "objective": self.objective,
-                "kkt_residual": self.kkt_residual,
-            }
-        )
+    lam: np.ndarray
+    mu: np.ndarray
+    objective: float
+    kkt_residual: float
+
+
+@dataclass(frozen=True)
+class MinDelay:
+    """The min-delay LP optimum: t*, its schedule mu and residual, the
+    largest constraint violation at the LP solver's point.  t* <= 0 means
+    the rate floor cannot be supported."""
+
+    t_star: float
+    mu: np.ndarray
+    residual: float
 
 
 def min_feasible_delay(t_star: float, eta: float) -> float:
@@ -156,7 +146,7 @@ def closed_form_t_star(matrices: NetworkMatrices, lambda_min: float) -> tuple[fl
     return float(ratios[k]), k
 
 
-def solve_min_delay_lp(instance: ProblemInstance) -> Solution:
+def solve_min_delay_lp(matrices: NetworkMatrices, lambda_min: float) -> MinDelay:
     """Maximize t over (t, mu) with lambda pinned to lambda_min (its optimum).
 
     Constraints: 0 <= mu <= 1, G mu <= 1, and c_v mu_v - (F lambda)_v >= t*h_m
@@ -165,15 +155,12 @@ def solve_min_delay_lp(instance: ProblemInstance) -> Solution:
     edge.  t is left free: a nonpositive optimum signals that lambda_min
     itself is infeasible.
     """
-    if instance.lambda_min_pps is None:
-        raise ValueError("min-delay problem needs lambda_min_pps")
-    m = instance.matrices
-    lam_min = instance.lambda_min_pps
+    m = matrices
     E, M = m.num_edges, m.num_ue
-    load = m.F @ np.full(M, lam_min)
+    load = m.F @ np.full(M, lambda_min)
 
     # rows over (t, mu): scheduling G mu <= 1, then the rate gaps
-    # t*h~_v - c_v mu_v <= -lam_min*(F 1)_v; diag(-C) keeps every zero +0.0
+    # t*h~_v - c_v mu_v <= -lambda_min*(F 1)_v; diag(-C) keeps every zero +0.0
     A_ub = np.block([[np.zeros((m.G.shape[0], 1)), m.G],
                      [m.h_tilde[:, None].astype(float), np.diag(-m.C)]])
     b_ub = np.concatenate((np.ones(m.G.shape[0]), -load))
@@ -187,21 +174,10 @@ def solve_min_delay_lp(instance: ProblemInstance) -> Solution:
     )
     if not res.success:
         raise NumericalFailure(f"LP solver failed: {res.message}")
-
-    t_star = float(res.x[0])
-    mu = np.clip(res.x[1:], 0.0, 1.0)
-    feasible = t_star > 0
-    delta_star = None
-    if feasible:
-        delta_star = min_feasible_delay(t_star, instance.eta)
-    return Solution(
-        status=SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
-        lam=np.full(M, lam_min),
-        mu=mu,
-        objective=t_star,
-        t_star=t_star,
-        delta_star_s=delta_star,
-        kkt_residual=float(np.max(np.maximum(A_ub @ res.x - b_ub, 0.0))),
+    return MinDelay(
+        t_star=float(res.x[0]),
+        mu=np.clip(res.x[1:], 0.0, 1.0),
+        residual=float(np.max(np.maximum(A_ub @ res.x - b_ub, 0.0))),
     )
 
 
@@ -468,8 +444,6 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
     delivery-probability constraints.  Raises InfeasibleDelay when no
     strictly feasible point exists for the given delta (phase I fails).
     """
-    if instance.delta_s is None:
-        raise ValueError("utility problem needs delta_s")
     m = instance.matrices
     delta, eta = instance.delta_s, instance.eta
     E, M = m.num_edges, m.num_ue
@@ -477,7 +451,7 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
     log_eta = math.log(eta)
 
     # quick necessary check via the per-hop LP relaxation
-    lp = solve_min_delay_lp(ProblemInstance(matrices=m, eta=eta, lambda_min_pps=LAMBDA_FLOOR))
+    lp = solve_min_delay_lp(m, LAMBDA_FLOOR)
     zeta = -math.log1p(-eta) / delta
     if lp.t_star <= zeta:
         raise InfeasibleDelay(
@@ -519,13 +493,10 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
         if z is not None:
             break
     if z is None:
-        if best is not None and best_margin > 1e-8:
-            z = best
-        else:
-            start = best if best is not None else np.concatenate(
-                (np.full(M, 2.0 * LAMBDA_FLOOR), np.clip(lp.mu, 1e-3, 1 - 1e-3))
-            )
-            z = _phase_one(start, geom, log_eta, box_lo, box_hi, Gmat, M)
+        if best is None:
+            raise NumericalFailure("no start candidate has positive rate gaps")
+        z = best if best_margin > 1e-8 else _phase_one(best, geom, log_eta, box_lo,
+                                                       box_hi, Gmat, M)
 
     def f_val(zz):
         return -_sum_log(zz[:M])
@@ -576,14 +547,7 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
             f"exceeds 1e-6 * |objective| = {1e-6 * abs(obj):.3g}"
         )
 
-    lam, mu = z[:M], z[M:]
-    return Solution(
-        status=SolveStatus.OPTIMAL,
-        lam=lam,
-        mu=mu,
-        objective=obj,
-        kkt_residual=kkt,
-    )
+    return Solution(lam=z[:M], mu=z[M:], objective=obj, kkt_residual=kkt)
 
 
 class _ShiftedGeometry:
@@ -621,13 +585,12 @@ def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M):
     """Maximize the worst delivery-constraint margin until it is positive.
 
     Augments z with a scalar s, maximizing s subject to g_m(z) >= s and the
-    original box/scheduling constraints.  Returns a strictly feasible z or
-    raises InfeasibleDelay.
+    original box/scheduling constraints, from a z0 with positive rate gaps.
+    Returns a strictly feasible z, raises InfeasibleDelay when none exists,
+    and NumericalFailure when a centering does not converge.
     """
     d = z0.size
     g0, _ = geom.eval(z0, log_eta)
-    if g0 is None:
-        raise NumericalFailure("phase-one start has nonpositive rate gaps")
     s0 = float(np.min(g0)) - 1.0
 
     sg = _ShiftedGeometry(geom)
@@ -653,7 +616,7 @@ def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M):
         if g is not None and g.min() > 1e-8:
             return ze[:-1]
         if not ok:
-            break
+            raise NumericalFailure(f"phase-one Newton did not converge at t = {t_bar:.3g}")
         # at a centered point the duality gap n_con/t bounds how far s is
         # below the best achievable margin (Boyd & Vandenberghe 11.4.1)
         s = float(ze[-1])
@@ -678,13 +641,11 @@ def constraint_report(instance: ProblemInstance, sol: Solution) -> dict:
     lam, mu = sol.lam, sol.mu
     arrivals = m.F @ lam
     service = m.C * mu
-    report = {
+    lhs = route_log_cdf(m, service - arrivals, instance.delta_s)
+    return {
         "mu_lower": float(np.min(mu)),
         "mu_upper": float(np.max(mu) - 1.0),
         "scheduling": float(np.max(m.G @ mu - 1.0)),
         "stability_gap": float(np.min(service - arrivals)),
+        "latency_margin": float(np.min(lhs - math.log(instance.eta))),
     }
-    if instance.delta_s is not None:
-        lhs = route_log_cdf(m, service - arrivals, instance.delta_s)
-        report["latency_margin"] = float(np.min(lhs - math.log(instance.eta)))
-    return report

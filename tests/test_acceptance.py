@@ -34,7 +34,6 @@ from iabnet.experiments import (
 from iabnet.optimizer import (
     InfeasibleDelay,
     ProblemInstance,
-    SolveStatus,
     closed_form_t_star,
     constraint_report,
     solve_min_delay_lp,
@@ -92,9 +91,7 @@ def test_criterion_1_lp_matches_closed_form():
     for i in range(100):
         _, m = random_instance(rng, HD if i % 2 else FD)
         lam = rng.uniform(0.0, 0.95 * feasible_lambda_upper(m))
-        sol = solve_min_delay_lp(
-            ProblemInstance(matrices=m, eta=ETA, lambda_min_pps=lam)
-        )
+        sol = solve_min_delay_lp(m, lam)
         t_cf, _ = closed_form_t_star(m, lam)
         worst = max(worst, abs(sol.t_star - t_cf) / abs(t_cf))
     elapsed = time.monotonic() - start
@@ -386,8 +383,6 @@ def test_criterion_9_solver_certificates_and_mode_nesting():
         try:
             sol = solve_utility_max(inst_hd)
         except InfeasibleDelay:
-            continue
-        if sol.status is not SolveStatus.OPTIMAL:
             continue
         solved += 1
 

@@ -124,6 +124,16 @@ class TestConfig:
             ("channel", "ptx_dbm", math.nan),
             ("channel", "noise_psd_dbm_hz", "-inf"),
             ("channel", "noise_figure_db", math.inf),
+            # values of the wrong type
+            ("topology", "K", 1.5),
+            ("channel", "n_bs_ant", 1.5),
+            ("mc", "n_drops", 2.5),
+            ("qos", "packet_bytes", True),
+            ("duplex", "rinr_db_sweep", ["nan"]),
+            ("duplex", "rinr_db_sweep", ["inf"]),
+            ("qos", "eta", "0.9"),
+            ("qos", "delta_s", "abc"),
+            ("topology", "spacing_m", "200"),
             # a custom tree without topology.tree_json; the message names
             # that field and the topology.kind it depends on
             ("topology", "kind", "custom"),
@@ -383,5 +393,6 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert set(out) == {"hd", "fd"}
         for sol in out.values():
+            assert list(sol) == ["status", "lambda", "mu", "objective", "kkt_residual"]
             assert sol["status"] == "optimal"
             assert sol["kkt_residual"] <= 1e-6 * max(abs(sol["objective"]), 1e-3)
