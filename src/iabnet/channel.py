@@ -7,6 +7,7 @@ seed reproduces channels, LOS states and capacities bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,10 +62,14 @@ class RinrConfig:
         return 10.0 ** (self.rinr_db / 10.0)
 
 
+@functools.cache
 def dft_codebook(n: int) -> np.ndarray:
-    """n x n DFT matrix with unit-norm columns (beams)."""
+    """n x n DFT matrix with unit-norm columns (beams), built once per n and
+    shared read-only."""
     k = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    W = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    W.flags.writeable = False
+    return W
 
 
 def gen_channel(n_tx: int, n_rx: int, rng: np.random.Generator) -> np.ndarray:

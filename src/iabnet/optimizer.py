@@ -6,10 +6,14 @@ mu (per edge), each with its own input and result type:
 * minimum feasible delay, solve_min_delay_lp(matrices, lambda_min) ->
   MinDelay: after the change of variable t = -log(1-eta)/delta this is a
   linear program maximizing t with per-(edge, UE) rate-gap constraints;
-  solved with an LP solver and cross-checked against the closed-form
-  row-minimum expression (implemented here independently).  t* <= 0 means
-  the rate floor cannot be supported; min_feasible_delay(t*, eta) turns a
-  positive t* into the delay delta*.
+  cross-checked against the closed-form row-minimum expression (implemented
+  here independently).  t* <= 0 means the rate floor cannot be supported;
+  min_feasible_delay(t*, eta) turns a positive t* into the delay delta*.
+  The LP goes straight to HiGHS (scipy's bundled binding) with the model and
+  options scipy's linprog(method="highs") would pass it, and linprog's
+  success rule, without linprog's per-call parsing and option checks;
+  linprog stays in tests/test_optimizer.py as the oracle that pins the
+  returned bytes.
 
 * utility maximization, solve_utility_max(ProblemInstance) -> Solution, of
   one objective, the sum-log (proportional-fair) utility sum log(lambda_m),
@@ -56,7 +60,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsDebugLevel,
+    HighsLp,
+    HighsModelStatus,
+    HighsOptions,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+    simplex_constants,
+)
 
 from .queueing import route_log_cdf
 from .topology import NetworkMatrices
@@ -68,6 +81,18 @@ BARRIER_MULT = 20.0
 # rate-sweep and large-tree benchmark batches; only a centering that fails
 # (the point that raises "did not converge at t = 1") runs into this cap.
 _MAX_NEWTON = 200
+
+# The options linprog(method="highs") sets (scipy's _linprog_highs); HiGHS
+# copies them in passOptions, so one object serves every LP.
+_HIGHS_OPTIONS = HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+# linprog's feasibility tolerance on bounds and rows: sqrt(tol) * 10 at its
+# default tol = 1e-9 (scipy's _check_result)
+_LP_TOL = math.sqrt(1e-9) * 10
 
 
 class InfeasibleRate(ValueError):
@@ -165,20 +190,52 @@ def solve_min_delay_lp(matrices: NetworkMatrices, lambda_min: float) -> MinDelay
                      [m.h_tilde[:, None].astype(float), np.diag(-m.C)]])
     b_ub = np.concatenate((np.ones(m.G.shape[0]), -load))
 
-    res = linprog(
-        c=np.concatenate(([-1.0], np.zeros(E))),
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] + [(0.0, 1.0)] * E,
-        method="highs",
-    )
-    if not res.success:
-        raise NumericalFailure(f"LP solver failed: {res.message}")
-    return MinDelay(
-        t_star=float(res.x[0]),
-        mu=np.clip(res.x[1:], 0.0, 1.0),
-        residual=float(np.max(np.maximum(A_ub @ res.x - b_ub, 0.0))),
-    )
+    c = np.concatenate(([-1.0], np.zeros(E)))
+    lb = np.concatenate(([-kHighsInf], np.zeros(E)))
+    ub = np.concatenate(([kHighsInf], np.ones(E)))
+    x = _highs_solve(c, A_ub, b_ub, lb, ub)
+    residual = float(np.max(np.maximum(A_ub @ x - b_ub, 0.0)))
+    # linprog's success rule, with rows checked on this residual rather than
+    # on HiGHS's row activities (equal to round-off); a NaN fails every test
+    if not (np.all(x >= lb - _LP_TOL) and np.all(x <= ub + _LP_TOL)
+            and residual <= _LP_TOL):
+        raise NumericalFailure(
+            f"LP solver failed: its point violates a bound or row by more "
+            f"than {_LP_TOL:.2e} (row residual {residual:.3g})"
+        )
+    return MinDelay(t_star=float(x[0]), mu=np.clip(x[1:], 0.0, 1.0), residual=residual)
+
+
+def _highs_solve(c, A_ub, b_ub, lb, ub) -> np.ndarray:
+    """min c x s.t. A_ub x <= b_ub, lb <= x <= ub, by HiGHS with the model
+    linprog(method="highs") builds: the nonzeros of A_ub in column-major
+    (CSC) order and -inf row lower bounds.  A fresh solver per call, so no
+    basis carries over.  Returns x; raises NumericalFailure unless HiGHS
+    reports the model optimal."""
+    n_row, n_col = A_ub.shape
+    nz = A_ub.T != 0
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nz.sum(axis=1))))
+    lp.a_matrix_.index_ = np.nonzero(nz)[1]
+    lp.a_matrix_.value_ = A_ub.T[nz]
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = np.full(n_row, -kHighsInf)
+    lp.row_upper_ = b_ub
+    highs = _Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise NumericalFailure(
+            f"LP solver failed: model status is {highs.modelStatusToString(status)}"
+        )
+    return np.array(highs.getSolution().col_value)
 
 
 # ---------------------------------------------------------------------------

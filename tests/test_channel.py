@@ -47,6 +47,30 @@ class TestArrays:
             assert gain == pytest.approx(best, rel=1e-12)
             assert abs(np.vdot(w, H @ f)) ** 2 == pytest.approx(gain, rel=1e-12)
 
+    def test_dft_codebook_built_once_and_read_only(self):
+        W = dft_codebook(16)
+        assert dft_codebook(16) is W
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 0.0
+
+    def test_mutated_beams_leave_later_draws_unchanged(self):
+        # beam_align hands out copies of the shared codebook's columns
+        def draw():
+            rng = np.random.default_rng(29)
+            tree = drop_ues(line_network(2, 2), 100.0, rng)
+            return [ls.snr_linear for ls in link_states(tree, LinkBudget(), rng)]
+
+        H = gen_channel(64, 16, np.random.default_rng(31))
+        f, w, gain = beam_align(H, 64, 16)
+        f_ref, w_ref, states_ref = f.copy(), w.copy(), draw()
+        f[:] = np.nan
+        w *= 2.0
+        f2, w2, gain2 = beam_align(H, 64, 16)
+        assert f2.tobytes() == f_ref.tobytes() and w2.tobytes() == w_ref.tobytes()
+        assert gain2 == gain
+        assert np.array(draw()).tobytes() == np.array(states_ref).tobytes()
+
     def test_gen_channel_rebuilt_from_its_draws(self):
         # the draws in their documented order, then H as a sum of rays with
         # half-wavelength ULA steering vectors exp(j pi n sin(angle))

@@ -1,7 +1,9 @@
 """Min-delay LP, closed-form cross-checks and the utility interior-point solver."""
 
+import functools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +12,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from iabnet import optimizer
-from iabnet.experiments import _capacities, _drop_links, base_tree, load_config
+from iabnet.experiments import (
+    ExperimentConfig,
+    _capacities,
+    _drop_links,
+    base_tree,
+    load_config,
+)
 from iabnet.optimizer import (
+    LAMBDA_FLOOR,
     InfeasibleDelay,
     InfeasibleRate,
     NumericalFailure,
@@ -101,6 +110,38 @@ def _random_lp_instance(mode, seed):
     return m, rng.uniform(0, feasible_lambda_upper(m, 0.9))
 
 
+@functools.cache
+def _line_drop_matrices(K, w, rinr_db, mode):
+    """Network matrices of drop 0 (seed 0) of a line K x w deployment."""
+    cfg = ExperimentConfig.from_dict({"topology": {"kind": "line", "K": K, "w": w},
+                                      "duplex": {"rinr_db_sweep": [rinr_db]}})
+    tree, links = _drop_links(cfg, base_tree(cfg), 0)
+    return network_matrices(tree, mode, _capacities(cfg, links, mode, rinr_db))
+
+
+def _patch_highs(monkeypatch, status=None, perturb=None):
+    """Make the LP's HiGHS solver report the given model status, or return
+    its point after perturb(x) edits it in place."""
+    real = optimizer._Highs
+
+    class Patched:
+        def __init__(self):
+            self._highs = real()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def getModelStatus(self):
+            return self._highs.getModelStatus() if status is None else status
+
+        def getSolution(self):
+            x = list(self._highs.getSolution().col_value)
+            perturb(x)
+            return SimpleNamespace(col_value=x)
+
+    monkeypatch.setattr(optimizer, "_Highs", Patched)
+
+
 class TestMinDelayLp:
     @pytest.mark.parametrize("mode", [HD, FD])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -122,6 +163,23 @@ class TestMinDelayLp:
         assert sol.mu.tobytes() == mu.tobytes()
         assert sol.residual == residual
 
+    @pytest.mark.parametrize("mode", [HD, FD])
+    @pytest.mark.parametrize("K, w, rinr_db", [(3, 2, -15.0), (8, 20, -10.0)])
+    @pytest.mark.parametrize("floor", ["zero", "lambda_floor", "supportable", "unsupportable"])
+    def test_benchmark_drops_equal_linprog(self, mode, K, w, rinr_db, floor):
+        # the direct HiGHS call must return linprog(method="highs")'s bytes on
+        # the benchmark's line shapes, across the sign of t*
+        m = _line_drop_matrices(K, w, rinr_db, mode)
+        lam_min = {"zero": 0.0, "lambda_floor": LAMBDA_FLOOR,
+                   "supportable": feasible_lambda_upper(m, 0.5),
+                   "unsupportable": feasible_lambda_upper(m, 2.0)}[floor]
+        sol = solve_min_delay_lp(m, lam_min)
+        t_star, mu, residual = _lp_oracle(m, lam_min, prune=True)
+        assert (sol.t_star > 0) is (floor != "unsupportable")
+        assert np.float64(sol.t_star).tobytes() == np.float64(t_star).tobytes()
+        assert sol.mu.tobytes() == mu.tobytes()
+        assert np.float64(sol.residual).tobytes() == np.float64(residual).tobytes()
+
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_pruned_and_unpruned_agree(self, seed):
         rng = np.random.default_rng(seed)
@@ -136,6 +194,42 @@ class TestMinDelayLp:
         sol = solve_min_delay_lp(m, lam_min)
         t_cf, _ = closed_form_t_star(m, lam_min)
         assert sol.t_star <= 0 and t_cf <= 0
+
+    def test_non_optimal_model_status_is_a_numerical_failure(self, monkeypatch):
+        m = network_matrices(line_network(1, 1), HD, 1000.0)
+        _patch_highs(monkeypatch, status=optimizer.HighsModelStatus.kInfeasible)
+        with pytest.raises(NumericalFailure, match="model status is Infeasible"):
+            solve_min_delay_lp(m, 10.0)
+
+    @pytest.mark.parametrize("shift, fails", [(1.0, True), (1e-5, False)])
+    def test_row_violation_beyond_tolerance_is_a_numerical_failure(self, monkeypatch,
+                                                                  shift, fails):
+        # raising t by shift violates the rate-gap rows by up to 2 * shift
+        # (h~ = 2 on this line); linprog tolerates up to sqrt(1e-9) * 10
+        m = network_matrices(line_network(1, 1), HD, 1000.0)
+        exact = solve_min_delay_lp(m, 10.0)
+
+        def raise_t(x):
+            x[0] += shift
+
+        _patch_highs(monkeypatch, perturb=raise_t)
+        if fails:
+            with pytest.raises(NumericalFailure, match="violates a bound or row"):
+                solve_min_delay_lp(m, 10.0)
+        else:
+            sol = solve_min_delay_lp(m, 10.0)
+            assert sol.t_star == exact.t_star + shift
+            assert sol.residual == pytest.approx(2 * shift, rel=1e-6)
+
+    def test_nan_point_is_a_numerical_failure(self, monkeypatch):
+        m = network_matrices(line_network(1, 1), HD, 1000.0)
+
+        def nan_mu(x):
+            x[1] = math.nan
+
+        _patch_highs(monkeypatch, perturb=nan_mu)
+        with pytest.raises(NumericalFailure, match="violates a bound or row"):
+            solve_min_delay_lp(m, 10.0)
 
     def test_delta_star_reported(self):
         m = network_matrices(line_network(1, 1), HD, 1000.0)
