@@ -6,10 +6,13 @@ comparison), and writes figure-ready CSV tables plus a <name>.run.json
 manifest per experiment, so several experiments can share one output
 directory.
 
-Within a drop, each distinct problem is solved once: the utility sweeps key
-their solves on (mode, capacity vector, delta), so sweep points that leave a
-mode's capacities unchanged (half duplex across an RINR sweep) reuse the
-solve, and the min-delay sweep builds each mode's matrices once.
+The utility sweeps run in three steps.  Plan: draw every drop in order and
+list its distinct problems, keyed on (mode, capacity vector, delta), so
+sweep points that leave a mode's capacities unchanged (half duplex across
+an RINR sweep) read one problem.  Solve: one solve_utility_batch call
+solves the whole plan, every drop's problems together.  Rows: build each
+drop's rows from the results.  The min-delay sweep builds each mode's
+matrices once per drop.
 
 Drops run serially; each owns an independent RNG substream keyed by
 (seed, drop index), so outputs are bit-identical for a fixed (config, seed)
@@ -45,6 +48,7 @@ from .optimizer import (
     constraint_report,
     min_feasible_delay,
     solve_min_delay_lp,
+    solve_utility_batch,
     solve_utility_max,
 )
 from .topology import (
@@ -299,6 +303,18 @@ def _capacities(cfg, links, mode: DuplexMode, rinr_db: float) -> np.ndarray:
     )
 
 
+def _status(result):
+    """(solution or None, status string) of one solve_utility_batch result;
+    an exception other than the two verdicts propagates."""
+    if isinstance(result, InfeasibleDelay):
+        return None, "infeasible"
+    if isinstance(result, NumericalFailure):  # recorded, never fatal per drop
+        return None, f"error:{result}"
+    if isinstance(result, Exception):
+        raise result
+    return result, "optimal"
+
+
 def _solve_utility(cfg, tree, mode, caps, delta_s):
     """(solution or None, status string, the instance solved)."""
     mats = network_matrices(tree, mode, caps)
@@ -330,9 +346,12 @@ def _utility_sweep(cfg: ExperimentConfig, axis: str) -> list[DropResult]:
     """Per-hop sum rates and FD/HD rate gain along one axis, "rinr_db" or
     "delta_s"; the other is held at its first value.
 
-    Per drop, each distinct (mode, capacity vector, delta) is solved once.
-    Keying on the capacities rather than on the RINR keeps the channel's rule
-    of which edges RINR degrades out of this module.
+    Plan, solve, rows: the plan lists every drop's distinct problems, each
+    (mode, capacity vector, delta) of a drop once, and which problem each
+    sweep point reads; one solve_utility_batch call solves the whole plan;
+    the rows are then built from its results.  Keying on the capacities
+    rather than on the RINR keeps the channel's rule of which edges RINR
+    degrades out of this module.
     """
     rinrs = list(cfg.duplex.rinr_db_sweep)
     deltas = [float(d) for d in np.atleast_1d(cfg.qos.delta_s)]
@@ -341,20 +360,38 @@ def _utility_sweep(cfg: ExperimentConfig, axis: str) -> list[DropResult]:
     else:
         points = [(d, rinrs[0], d) for d in deltas]
     hd, fd = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
+    modes = _modes(cfg)
     tree0 = base_tree(cfg)
-    results = []
+
+    # plan: per drop, its tree and, per point, the problem each mode reads
+    instances: list[ProblemInstance] = []
+    plan = []
     for drop in range(cfg.mc.n_drops):
         tree, links = _drop_links(cfg, tree0, drop)
-        solved = {}
-        rows = []
+        problem: dict = {}
+        reads = []
         for value, rinr_db, delta in points:
-            rates, stats = {}, {}
-            for mode in _modes(cfg):
+            read = {}
+            for mode in modes:
                 caps = _capacities(cfg, links, mode, rinr_db)
                 key = (mode, caps.tobytes(), delta)
-                if key not in solved:
-                    solved[key] = _solve_utility(cfg, tree, mode, caps, delta)[:2]
-                sol, stats[mode] = solved[key]
+                if key not in problem:
+                    problem[key] = len(instances)
+                    instances.append(ProblemInstance(matrices=network_matrices(tree, mode, caps),
+                                                     eta=cfg.qos.eta, delta_s=delta))
+                read[mode] = problem[key]
+            reads.append((value, read))
+        plan.append((drop, tree, reads))
+
+    solved = [_status(res) for res in solve_utility_batch(instances)]
+
+    results = []
+    for drop, tree, reads in plan:
+        rows = []
+        for value, read in reads:
+            rates, stats = {}, {}
+            for mode, i in read.items():
+                sol, stats[mode] = solved[i]
                 rates[mode] = hop_sum_rates(tree, sol.lam) if sol else {}
             hops = sorted(set().union(*rates.values()) or {1})
             for h in hops:

@@ -27,6 +27,8 @@ mu (per edge), each with its own input and result type:
   Hessian are assembled in edge space (_LatencyGeometry) from per-pair
   vectors: O(M d^2) flops per Newton step for d = M + |E| variables, where a
   per-(UE, edge) pair matrix would cost O(n_pairs d^2).
+  solve_utility_batch(instances) solves many problems at once and returns,
+  per problem, its Solution or the exception its solve raised.
 
 The interior-point method's tuning values are module constants:
 
@@ -43,14 +45,40 @@ max(|objective|, 1e-3), and a returned solution must pass a gate of 1e-6 on
 the same scale, checked once on the final iterate; a solve that fails the
 gate raises NumericalFailure.
 
-The Newton loop (_newton_barrier, _Barrier with its kkt_residual, the
-geometries, _solve_pd) must keep its float operations: the same matmul
-operands and layouts, the same summation orders, and the same sequence of
-additions into the gradient and Hessian, so that every solve repeats its
-iterates bit for bit.  Speed-ups there cut only interpreter and wrapper
-overhead; tests/test_optimizer.py holds the oracles (the scipy
-cho_factor/cho_solve solve, the full-assembly gradient, and pinned solver
-floats) that check this.
+Batched evaluation.  The control flow of a solve (_utility_steps, its
+centerings, _newton_barrier, _phase_one) is written once, as generators
+that yield evaluation requests instead of calling numpy: the barrier value
+of line-search candidates (with the Newton system of the first one that
+passes), the gradient norm of gradient-phase candidates, or the KKT
+residual.  A driver (_drive) advances every live problem, groups the
+pending requests by kind and layout (the routing matrix, the box and the
+width: d, or d + 1 in phase one), evaluates each group once with the
+stacked _BarrierStack and _GeometryStack code, whose arrays carry a leading
+batch axis, and sends each problem its replies.  solve_utility_max is that
+driver on a batch of one, so there is one code path.  The LP pre-check, the
+start search and the Cholesky solves (_solve_pd) stay per problem.
+
+Bit-exact rules.  Each problem keeps its control flow and its float
+operations, so every iterate, every artifact byte, and every exception type
+and message are what the problem gives when solved alone; tests in
+tests/test_optimizer.py check this, with pinned solver floats and linear
+solve counts.  The stacked code keeps to operations whose per-row results
+equal the one-problem calls (numpy 2.4, OpenBLAS 0.3.31):
+
+* stacked matmuls, which numpy runs as one BLAS call per row with the
+  operands and layouts of the 2-D call: swapaxes(Js, 1, 2) @ Js (syrk),
+  R @ J, swapaxes(B, 1, 2) @ (D * B), and a stacked matrix-vector product
+  written J @ z[..., None] (einsum does not match);
+* elementwise ufuncs, including log, exp and expm1 on contiguous arrays,
+  and reductions along the last or middle axis (.sum(axis=1), .min), which
+  add in the per-problem order;
+* bincount over the offset indices pair + i * M, which keeps each bin's
+  additions in order;
+* a stack of one problem broadcasting its arrays over many rows.
+
+The Cholesky factorization stays per problem (dpotrf/dpotrs through
+_solve_pd): a stacked np.linalg.solve does not match.  Rows that leave the
+domain are masked before any log or psi is taken.
 """
 
 from __future__ import annotations
@@ -78,9 +106,16 @@ from .topology import NetworkMatrices
 LAMBDA_FLOOR = 1e-6
 BARRIER_MULT = 20.0
 # Newton steps per centering.  Converged centerings took at most 46 over 162
-# rate-sweep and large-tree benchmark batches; only a centering that fails
-# (the point that raises "did not converge at t = 1") runs into this cap.
+# rate-sweep and large-tree benchmark batches; a centering runs into this cap
+# only when it stalls on a gradient floor above its tolerance.  At the first
+# weight (t = 1) the solve then goes on from the stalled iterate, which is
+# strictly feasible; a later centering bisects its weight step instead.
 _MAX_NEWTON = 200
+# One stacked evaluation holds at most _STACK_CELLS // d^2 points of width d,
+# and never fewer than one: stacking saves per-call overhead, which small
+# problems are made of, while the d x d arrays of large ones would outgrow
+# the cache (line K=8 w=20, d = 368, ran about 10% slower two at a time).
+_STACK_CELLS = 1 << 17
 
 # The options linprog(method="highs") sets (scipy's _linprog_highs); HiGHS
 # copies them in passOptions, so one object serves every LP.
@@ -252,14 +287,15 @@ def _dpsi_d2psi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     psi' = 1/(exp(x) - 1) and psi'' = -exp(x)/(exp(x) - 1)^2 < 0, written in
     e = exp(-x) as e/(-expm1(-x)) and -e/expm1(-x)^2 = psi'/expm1(-x), so
     that large x underflows to 0 instead of overflowing."""
-    e = np.exp(-x)
-    em = np.expm1(-x)
+    nx = -x
+    e = np.exp(nx)
+    em = np.expm1(nx)
     d1 = e / -em
     return d1, d1 / em
 
 
 class _LatencyGeometry:
-    """Edge-space structure of the per-route delivery constraints.
+    """Edge-space structure of one problem's per-route delivery constraints.
 
     A latency pair p = (m, v), v on UE m's route, sees z = [lambda; mu] only
     through the edge gap (J z)_v = C_v mu_v - (F lambda)_v, with the |E| x d
@@ -267,39 +303,119 @@ class _LatencyGeometry:
     g_m = sum of psi(x_p) over the route - log(eta).  Per-pair quantities stay
     vectors of length n_pairs; the barrier gradient and Hessian are assembled
     through J (Boyd & Vandenberghe, Convex Optimization, 11.3), so no
-    per-(UE, edge) matrix of width d is formed.
+    per-(UE, edge) matrix of width d is formed.  The arithmetic lives in
+    _GeometryStack; problems with equal layout (the routing matrix F) stack.
     """
 
-    def __init__(self, m: NetworkMatrices, delta: float):
+    def __init__(self, m: NetworkMatrices, delta: float, log_eta: float):
         M, E = m.num_ue, m.num_edges
         self.pair_ue, self.pair_edge = np.nonzero(m.F.T)
         self.pair_flat = self.pair_ue * E + self.pair_edge  # index into M x E
         self.num_ue, self.num_edges = M, E
-        self.scale = delta / m.h[self.pair_ue]
-        self.scale2 = self.scale**2
-        self.F, self.C = m.F, m.C
-        self.J = np.hstack((-m.F, np.diag(m.C)))
+        scale = delta / m.h[self.pair_ue]
+        self.F = m.F
+        # scale, scale**2, C, J and log(eta), flattened into one row
+        self.packed = _pack((scale, scale**2, m.C, np.hstack((-m.F, np.diag(m.C))), log_eta))
+        self.layout = ("geometry", m.F.shape, m.F.tobytes())
 
-    def eval(self, z: np.ndarray, log_eta: float):
-        """Return (g, x); g_m = sum psi(x) over route m - log(eta)."""
-        x = self.scale * (self.J @ z)[self.pair_edge]
-        if x.min() <= 0:
-            return None, x
-        return np.bincount(self.pair_ue, _psi(x), self.num_ue) - log_eta, x
+
+def _pack(arrays):
+    """One problem's arrays, flattened side by side into one row."""
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def _stack_rows(rows):
+    """The packed rows stacked; one row is viewed, not copied."""
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+def _blocks(shapes):
+    """(column slice, shape) of each array in a packed row."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append((slice(start, start + size), shape))
+        start += size
+    return out
+
+
+def _unpack(P, blocks):
+    """Views of the column blocks of the rows P, each reshaped to
+    (rows, *shape)."""
+    n = P.shape[0]
+    return [P[:, cols].reshape(n, *shape) for cols, shape in blocks]
+
+
+def _take(stack, rows):
+    """A shallow copy of stack cut to rows (with repeats, in that order)."""
+    out = object.__new__(type(stack))
+    out.__dict__.update(stack.__dict__)
+    out.unpack(stack.P[rows])
+    return out
+
+
+class _GeometryStack:
+    """Latency geometries of one layout, their per-problem arrays (scale,
+    C, J, log eta) stacked on a leading axis as views of one packed row per
+    problem.  Every method takes points Z (k x d), one row per geometry (a
+    stack of one broadcasts over any k), and applies the per-problem
+    operations of _LatencyGeometry to each row; a bincount over the offset
+    indices pair + i*M keeps each bin's additions in the per-problem order."""
+
+    def __init__(self, geoms: list[_LatencyGeometry]):
+        g = geoms[0]
+        self.num_ue, self.num_edges = g.num_ue, g.num_edges
+        self.pair_ue, self.pair_edge, self.pair_flat = g.pair_ue, g.pair_edge, g.pair_flat
+        self.F = g.F
+        P, E = g.pair_ue.size, g.num_edges
+        self.columns = _blocks(((P,), (P,), (E,), (E, g.num_ue + E), (1,)))
+        self.unpack(_stack_rows([x.packed for x in geoms]))
+        self._bins: dict = {}  # shared with every take of this stack
+
+    def unpack(self, P):
+        self.P = P
+        self.scale, self.scale2, self.C, self.J, self.log_eta = _unpack(P, self.columns)
+
+    def bins(self, n):
+        """For n rows, the offset indices of the pairs: their UE and edge
+        bins, and their flat places in n stacked M x |E| matrices."""
+        if n not in self._bins:
+            rows = np.arange(n)[:, None]
+            M, E = self.num_ue, self.num_edges
+            self._bins[n] = ((self.pair_ue + M * rows).ravel(),
+                             (self.pair_edge + E * rows).ravel(),
+                             (self.pair_flat + M * E * rows).ravel())
+        return self._bins[n]
+
+    def take(self, rows: np.ndarray) -> "_GeometryStack":
+        return _take(self, rows)
+
+    def eval(self, Z):
+        """(G, X, ok): the pair arguments X of every row, ok marking the rows
+        whose arguments are all positive, and the margins G, meaningful in
+        those rows only (the others are evaluated at x = 1)."""
+        X = self.scale * (self.J @ Z[:, :, None])[:, self.pair_edge, 0]
+        positive = X > 0
+        ok = positive.all(axis=1)
+        psi = _psi(np.where(positive, X, 1.0))
+        n, M = X.shape[0], self.num_ue
+        G = np.bincount(self.bins(n)[0], psi.ravel(), n * M).reshape(n, M) - self.log_eta
+        return G, X, ok
 
     def _jacobian(self, d1):
-        """Jg = R J, R (M x |E|) holding psi'(x_p) scale_p at (m, v)."""
-        R = np.zeros(self.num_ue * self.num_edges)
-        R[self.pair_flat] = d1 * self.scale
-        return R.reshape(self.num_ue, self.num_edges) @ self.J
+        """Jg = R J per row, R (M x |E|) holding psi'(x_p) scale_p at (m, v)."""
+        n = d1.shape[0]
+        R = np.zeros(n * self.num_ue * self.num_edges)
+        R[self.bins(n)[2]] = (d1 * self.scale).ravel()
+        return R.reshape(n, self.num_ue, self.num_edges) @ self.J
 
-    def grad_barrier(self, z, g, x):
+    def grad_barrier(self, Z, G, X):
         """The gradient of grad_hess_barrier, by the same operations."""
-        d1, _ = _dpsi_d2psi(x)
-        return -(self._jacobian(d1) / g[:, None]).sum(axis=0)
+        d1, _ = _dpsi_d2psi(X)
+        return -(self._jacobian(d1) / G[:, :, None]).sum(axis=1)
 
-    def grad_hess_barrier(self, z, g, x):
-        """Gradient and Hessian of -sum log(g_m) at a strictly feasible z.
+    def grad_hess_barrier(self, Z, G, X):
+        """Gradient and Hessian of -sum log(g_m) at strictly feasible rows.
 
         The constraint Jacobian is Jg = R J, where R (M x |E|) holds
         psi'(x_p) scale_p at (m, v).  With Js = Jg / g and
@@ -308,16 +424,50 @@ class _LatencyGeometry:
         so the second term costs one M x |E| x d product.
         """
         M, E = self.num_ue, self.num_edges
-        d1, d2 = _dpsi_d2psi(x)
+        n = X.shape[0]
+        d1, d2 = _dpsi_d2psi(X)
         Jg = self._jacobian(d1)
-        Js = Jg / g[:, None]
-        grad = -Js.sum(axis=0)
-        c = np.bincount(self.pair_edge, d2 * self.scale2 / g[self.pair_ue], E)
-        cJ = c[:, None] * self.J
-        H = Js.T @ Js
-        H[:M] += self.F.T @ cJ
-        H[M:] -= self.C[:, None] * cJ
+        Js = Jg / G[:, :, None]
+        grad = -Js.sum(axis=1)
+        c = np.bincount(self.bins(n)[1], (d2 * self.scale2 / G[:, self.pair_ue]).ravel(),
+                        n * E).reshape(n, E)
+        cJ = c[:, :, None] * self.J
+        H = Js.swapaxes(1, 2) @ Js
+        H[:, :M] += self.F.T @ cJ
+        H[:, M:] -= self.C[:, :, None] * cJ
         return grad, H, Jg
+
+
+class _ShiftedGeometry:
+    """Phase-one view of a geometry stack over extended points ze = (z, s):
+    the margins become u_m = g_m(z) - s."""
+
+    def __init__(self, geom: _GeometryStack):
+        self.geom = geom
+
+    def take(self, rows: np.ndarray) -> "_ShiftedGeometry":
+        return _ShiftedGeometry(self.geom.take(rows))
+
+    def eval(self, Ze):
+        G, X, ok = self.geom.eval(Ze[:, :-1])
+        return G - Ze[:, -1:], X, ok
+
+    # G below holds the shifted margins u_m = g_m(z) - s
+    def grad_barrier(self, Ze, G, X):
+        gl = self.geom.grad_barrier(Ze[:, :-1], G, X)
+        return np.concatenate((gl, (1.0 / G).sum(axis=1)[:, None]), axis=1)
+
+    def grad_hess_barrier(self, Ze, G, X):
+        gl, Hl, Jg = self.geom.grad_hess_barrier(Ze[:, :-1], G, X)
+        n, d = Hl.shape[:2]
+        ge = np.concatenate((gl, (1.0 / G).sum(axis=1)[:, None]), axis=1)
+        He = np.zeros((n, d + 1, d + 1))
+        He[:, :d, :d] = Hl
+        cross = -(Jg / (G**2)[:, :, None]).sum(axis=1)
+        He[:, :d, -1] = cross
+        He[:, -1, :d] = cross
+        He[:, -1, -1] = (1.0 / G**2).sum(axis=1)
+        return ge, He, None
 
 
 def _solve_pd(H, rhs):
@@ -328,120 +478,320 @@ def _solve_pd(H, rhs):
     and cho_solve pass them, without those wrappers' per-call overhead.  A
     non-finite system raises NumericalFailure.
     """
-    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
+    # a sum is finite only if every term is; an overflowing sum of finite
+    # terms falls through to the elementwise test
+    if not (math.isfinite(H.sum()) and math.isfinite(rhs.sum())
+            or np.isfinite(H).all() and np.isfinite(rhs).all()):
         raise NumericalFailure("non-finite Newton system")
     jitter = 0.0
-    scale = np.abs(H.diagonal()).max()
     for _ in range(12):
         c, info = dpotrf(H + jitter * np.eye(H.shape[0]) if jitter else H,
                          lower=False, clean=False)
         if info == 0:
             return dpotrs(c, rhs, lower=False)[0]
-        jitter = max(jitter * 100.0, 1e-14 * scale)
+        jitter = max(jitter * 100.0, 1e-14 * np.abs(H.diagonal()).max())
     raise NumericalFailure("Hessian factorization failed")
 
 
 class _Barrier:
     """One barrier problem, min f(z) - sum log(slacks) / t, built once per
     solve (and per phase-one run) with its slack layout and constraint count
-    n_con.  f_val(z) returns the objective value; f_grad_hess(z) its gradient
-    and the diagonal of its Hessian.  Slacks: z - box_lo, box_hi - z (finite
-    entries only), 1 - G mu with mu = z[M:], and the margins g_m via geom.
+    n_con.  f is the negated sum-log utility of the rates z[:M], or, in phase
+    one (phase_one=True, z = (lambda, mu, s)), -s.  Slacks: the margins g_m
+    via geom (shifted by s in phase one), z - box_lo and box_hi - z (finite
+    entries only), and 1 - G mu with mu = z[M:].  The arithmetic lives in
+    _BarrierStack; barriers with equal layout stack.
     """
 
-    def __init__(self, f_val, f_grad_hess, geom, log_eta, box_lo, box_hi, Gmat, M):
-        self.f_val, self.f_grad_hess = f_val, f_grad_hess
-        self.geom, self.log_eta = geom, log_eta
-        self.Gmat, self.M = Gmat, M
+    def __init__(self, geom, box_lo, box_hi, Gmat, M, phase_one=False):
+        self.geom, self.Gmat, self.M, self.phase_one = geom, Gmat, M, phase_one
         self.d = d = box_lo.size
         self.lo_idx = np.flatnonzero(np.isfinite(box_lo))
         self.hi_idx = np.flatnonzero(np.isfinite(box_hi))
         self.lo_val, self.hi_val = box_lo[self.lo_idx], box_hi[self.hi_idx]
-        self.diag = np.diag_indices(d)
         self.B = np.zeros((Gmat.shape[0], d))
         self.B[:, M:] = Gmat
         self.n_con = self.lo_idx.size + self.hi_idx.size + Gmat.shape[0] + M
+        self.layout = ("barrier", phase_one, geom.layout, box_lo.tobytes(),
+                       box_hi.tobytes(), Gmat.shape)
+        self.packed = _pack((Gmat, self.B))
 
-    def slacks(self, z):
-        """(g, x, s_lo, s_hi, s_g) at a strictly feasible z, else None."""
-        g, x = self.geom.eval(z, self.log_eta)
-        if g is None or not g.min() > 0:
-            return None
-        s_lo = z[self.lo_idx] - self.lo_val
-        s_hi = self.hi_val - z[self.hi_idx]
-        s_g = 1.0 - self.Gmat @ z[self.M:]
-        if s_lo.min() > 0 and s_hi.min() > 0 and s_g.min() > 0:
-            return g, x, s_lo, s_hi, s_g
-        return None
+
+def _as_slice(idx):
+    """idx as a slice if it is one contiguous run, so that indexing with it
+    gives views; else idx itself."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+class _BarrierStack:
+    """Barriers of one layout, their per-problem arrays (G, B and the
+    geometry's) stacked on a leading axis.  Every method takes points Z
+    (k x d), one row per barrier (a stack of one broadcasts over any k), and
+    applies the per-problem barrier operations to each row; T holds each
+    row's barrier weight t.  The slacks of a row sit side by side in one row
+    of S, in blocks: the margins g, s_lo = z - box_lo, s_hi = box_hi - z and
+    s_g = 1 - G mu; each block's log is summed on its own."""
+
+    def __init__(self, barriers: list[_Barrier]):
+        b = barriers[0]
+        geom = _GeometryStack([x.geom for x in barriers])
+        self.geom = _ShiftedGeometry(geom) if b.phase_one else geom
+        self.phase_one, self.M, self.d = b.phase_one, b.M, b.d
+        self.lo_idx, self.hi_idx = _as_slice(b.lo_idx), _as_slice(b.hi_idx)
+        self.lo_val, self.hi_val = b.lo_val, b.hi_val
+        ends = np.cumsum([b.M, b.lo_idx.size, b.hi_idx.size, b.Gmat.shape[0]])
+        self.blocks = [slice(i, j) for i, j in zip((0, *ends[:-1]), ends)]
+        self.columns = _blocks((b.Gmat.shape, b.B.shape))
+        self.unpack(_stack_rows([x.packed for x in barriers]))
+
+    def unpack(self, P):
+        self.P = P
+        self.Gmat, self.B = _unpack(P, self.columns)
+
+    def take(self, rows) -> "_BarrierStack":
+        out = _take(self, rows)
+        out.geom = self.geom.take(rows)
+        return out
+
+    def repeat(self, sizes, n):
+        """This stack with row r repeated sizes[r] times (n rows in all).  A
+        stack of one problem is its own repeat: its arrays broadcast."""
+        if n == len(sizes) or len(sizes) == 1:
+            return self
+        return self.take([r for r, k in enumerate(sizes) for _ in range(k)])
+
+    def slacks(self, Z):
+        """(ok, X, S): ok marks the strictly feasible rows of Z; the pair
+        arguments X and the slacks S are meaningful in those rows."""
+        G, X, ok = self.geom.eval(Z)
+        S = np.concatenate((G, Z[:, self.lo_idx] - self.lo_val, self.hi_val - Z[:, self.hi_idx],
+                            1.0 - (self.Gmat @ Z[:, self.M:, None])[:, :, 0]), axis=1)
+        ok &= S.min(axis=1) > 0
+        return ok, X, S
 
     # work with f + phi/t rather than t*f + phi: same minimizer, but the
     # value stays O(|f|) at large t, so line-search progress is resolvable
-    def value(self, z, st, t_bar):
-        g, _, s_lo, s_hi, s_g = st
-        return self.f_val(z) - (
-            np.log(g).sum()
-            + np.log(s_lo).sum()
-            + np.log(s_hi).sum()
-            + np.log(s_g).sum()
-        ) / t_bar
+    def value(self, Z, S, T):
+        L = np.log(S)
+        g, lo, hi, sg = (L[:, b].sum(axis=1) for b in self.blocks)
+        f = -Z[:, -1] if self.phase_one else -np.log(Z[:, :self.M].copy()).sum(axis=1)
+        return f - (g + lo + hi + sg) / T
 
-    def assemble(self, z, st, t_bar, hess=True):
-        """The barrier gradient at z, and its Hessian if hess (else None)."""
-        g, x, s_lo, s_hi, s_g = st
-        d, lo_idx, hi_idx, B = self.d, self.lo_idx, self.hi_idx, self.B
-        fgrad, fhess = self.f_grad_hess(z)
-        grad = fgrad.copy()
-        if hess:
-            gl, Hl, _ = self.geom.grad_hess_barrier(z, g, x)
+    def _f_grad(self, Z, hess):
+        """f's gradient at each row, and its Hessian diagonal if hess."""
+        n, M = Z.shape[0], self.M
+        grad = np.zeros((n, self.d))
+        hd = np.zeros((n, self.d)) if hess else None
+        if self.phase_one:
+            grad[:, -1] = -1.0
         else:
-            gl = self.geom.grad_barrier(z, g, x)
-        grad += gl / t_bar
-        gb = np.zeros(d)
-        gb[lo_idx] -= 1.0 / s_lo
-        gb[hi_idx] += 1.0 / s_hi
-        grad += gb / t_bar
-        grad += B.T @ (1.0 / s_g) / t_bar
+            lam = Z[:, :M].copy()
+            grad[:, :M] = -1.0 / lam
+            if hess:
+                hd[:, :M] = 1.0 / lam**2
+        return grad, hd
+
+    def assemble(self, Z, X, S, T, hess=True):
+        """The barrier gradient at each row, and its Hessian if hess (else None)."""
+        inv = 1.0 / S
+        g, lo, hi, sg = self.blocks
+        lo_idx, hi_idx, B = self.lo_idx, self.hi_idx, self.B
+        n, d = Z.shape
+        grad, fhess = self._f_grad(Z, hess)
+        t = T[:, None]
+        if hess:
+            gl, Hl, _ = self.geom.grad_hess_barrier(Z, S[:, g], X)
+        else:
+            gl = self.geom.grad_barrier(Z, S[:, g], X)
+        grad += gl / t
+        gb = np.zeros((n, d))
+        gb[:, lo_idx] -= inv[:, lo]
+        gb[:, hi_idx] += inv[:, hi]
+        grad += gb / t
+        grad += (B.swapaxes(1, 2) @ inv[:, sg, None])[:, :, 0] / t
         if not hess:
             return grad, None
 
-        H = np.zeros((d, d))
-        H[self.diag] += fhess
-        H += Hl / t_bar
-        hb = np.zeros(d)
-        hb[lo_idx] += 1.0 / s_lo**2
-        hb[hi_idx] += 1.0 / s_hi**2
-        H[self.diag] += hb / t_bar
-        H += B.T @ ((1.0 / s_g**2)[:, None] * B) / t_bar
+        inv2 = 1.0 / S**2
+        H = np.zeros((n, d, d))
+        diag = H.reshape(n, d * d)[:, :: d + 1]  # a view of each row's diagonal
+        diag += fhess
+        Hl /= T[:, None, None]  # in place, as are the divisions below
+        H += Hl
+        del Hl
+        hb = np.zeros((n, d))
+        hb[:, lo_idx] += inv2[:, lo]
+        hb[:, hi_idx] += inv2[:, hi]
+        diag += hb / t
+        Hg = B.swapaxes(1, 2) @ (inv2[:, sg, None] * B)
+        Hg /= T[:, None, None]
+        H += Hg
         return grad, H
 
-    def kkt_residual(self, z, t_bar):
+    def kkt_residual(self, Z, X, S, T):
         """Stationarity residual with the barrier dual estimates nu_i = 1/(t h_i)."""
-        g, x, s_lo, s_hi, s_g = self.slacks(z)
-        fgrad, _ = self.f_grad_hess(z)
-        r = fgrad.copy()  # gradient of the minimized objective (-utility)
+        g, s_lo, s_hi, s_g = (S[:, b] for b in self.blocks)
+        r, _ = self._f_grad(Z, False)  # gradient of the minimized objective (-utility)
+        t = T[:, None]
+        r += self.geom.grad_barrier(Z, g, X) / t
 
-        r += self.geom.grad_barrier(z, g, x) / t_bar
+        r[:, self.lo_idx] -= 1.0 / (t * s_lo)
+        r[:, self.hi_idx] += 1.0 / (t * s_hi)
+        r += (self.B.swapaxes(1, 2) @ (1.0 / (t * s_g))[:, :, None])[:, :, 0]
+        return np.abs(r).max(axis=1)
 
-        r[self.lo_idx] -= 1.0 / (t_bar * s_lo)
-        r[self.hi_idx] += 1.0 / (t_bar * s_hi)
-        r += self.B.T @ (1.0 / (t_bar * s_g))
-        return float(np.abs(r).max())
+
+# Evaluation requests a solve yields: (kind, barrier, Z, t, bounds), with
+# one point per row of Z and one bound per point; the reply is None where a
+# point is not strictly feasible.
+# * KKT: the stationarity residual at weight t of the one point.
+# * VALUE: (values, newton), the barrier value at weight t of each point,
+#   and newton = (value, gradient, Hessian, gradient max-norm) at the first
+#   point whose value is at most its bound, or None if there is none.
+# * DESCENT: (norms, newton), the max-norm of the barrier gradient at each
+#   point, and newton at the first point whose norm is below its bound.
+# So a point a line search accepts comes with its Newton system.
+_VALUE, _DESCENT, _KKT = range(3)
+
+
+def _evaluate(kind, stack, Z, T, bounds, sizes):
+    """Answer one group of requests, whose points are the rows of Z,
+    sizes[r] of them for request r in order; stack holds each request's
+    barrier once.  Returns one reply per request."""
+    n = Z.shape[0]
+    rep = stack.repeat(sizes, n)
+    ok, X, S = rep.slacks(Z)
+    tests = [None] * n
+    rows = np.flatnonzero(ok).tolist()
+    if rows:
+        f = slice(None) if len(rows) == n else rows
+        if kind == _VALUE:
+            out = rep.value(Z[f], S[f], T[f])
+        else:
+            sub = rep if len(rows) == n or len(sizes) == 1 else rep.take(rows)
+            if kind == _KKT:
+                out = sub.kkt_residual(Z[f], X[f], S[f], T[f])
+            else:
+                out = np.abs(sub.assemble(Z[f], X[f], S[f], T[f], hess=False)[0]).max(axis=1)
+        for i, v in zip(rows, out.tolist()):
+            tests[i] = v
+    if kind == _KKT:  # one point per request
+        return tests
+
+    # the first point of each request that passes its test
+    firsts, start = [], 0
+    for size in sizes:
+        first = None
+        for i in range(start, start + size):
+            v = tests[i]
+            if v is not None and (v <= bounds[i] if kind == _VALUE else v < bounds[i]):
+                first = i
+                break
+        firsts.append(first)
+        start += size
+    need = [r for r, j in enumerate(firsts) if j is not None]
+    if need:
+        at = [firsts[r] for r in need]
+        sub = stack if len(need) == len(sizes) else stack.take(need)
+        a = slice(None) if len(at) == n else at
+        Za, Sa, Ta = Z[a], S[a], T[a]
+        grad, H = sub.assemble(Za, X[a], Sa, Ta)
+        vals = [tests[j] for j in at] if kind == _VALUE else sub.value(Za, Sa, Ta).tolist()
+        newton = iter(zip(vals, grad, H, np.abs(grad).max(axis=1).tolist()))
+    replies, start = [], 0
+    for size, j in zip(sizes, firsts):
+        replies.append((tests[start:start + size], None if j is None else next(newton)))
+        start += size
+    return replies
+
+
+def _max_rows(d):
+    """How many points of width d one stacked evaluation holds."""
+    return max(1, _STACK_CELLS // (d * d))
+
+
+def _drive(steps):
+    """Run solve generators to completion: advance every live one, group
+    their pending requests by kind and layout, answer each group with one
+    stacked evaluation and send the replies back.  Returns what each
+    generator returned, or the exception it raised."""
+    out = [None] * len(steps)
+    replies = [None] * len(steps)
+    live = list(range(len(steps)))
+    stacks: dict = {}  # ids of a group's barriers -> (the barriers, their stack)
+    while live:
+        groups: dict = {}
+        for i in live:
+            reply, replies[i] = replies[i], None
+            try:
+                kind, barrier, Z, t, bounds = steps[i].send(reply)
+            except StopIteration as stop:
+                out[i] = stop.value
+                continue
+            except Exception as exc:  # this problem's verdict; the rest go on
+                # without this frame in its traceback, which would tie a
+                # reference cycle through out and keep the batch alive
+                out[i] = exc.with_traceback(exc.__traceback__.tb_next)
+                continue
+            # a full group is closed and a new one opened under a new key
+            key = (kind, barrier.layout)
+            group = groups.get(key)
+            if group is not None and len(group[3]) + len(bounds) > _max_rows(barrier.d):
+                groups[key + (len(groups),)] = group
+                group = None
+            if group is None:
+                group = groups[key] = ([], [], [], [], [], [])
+            ids, barriers, Zs, ts, all_bounds, sizes = group
+            ids.append(i)
+            barriers.append(barrier)
+            Zs.append(Z)
+            ts += [t] * len(bounds)
+            all_bounds += bounds
+            sizes.append(len(bounds))
+        live = []
+        for (kind, *_), (ids, barriers, Zs, ts, bounds, sizes) in groups.items():
+            key = tuple(map(id, barriers))
+            if key not in stacks:
+                if len(stacks) >= 8:
+                    stacks.clear()
+                # the barriers stay referenced, so their ids are not reused
+                stacks[key] = (barriers, _BarrierStack(barriers))
+            Z = Zs[0] if len(Zs) == 1 else np.concatenate(Zs)
+            for i, reply in zip(ids, _evaluate(kind, stacks[key][1], Z, np.array(ts),
+                                               bounds, sizes)):
+                replies[i] = reply
+            live += ids
+        live.sort()
+    return out
+
+
+def _margins(geoms, Z):
+    """The margins g(z) of each row of Z, or None where a pair argument is
+    not positive; geoms stacks one geometry per row, or one for all rows."""
+    G, _, ok = geoms.eval(Z)
+    return [g if k else None for g, k in zip(G, ok)]
 
 
 def _newton_barrier(barrier, z0, t_bar, gtol=0.0):
-    """Minimize the barrier problem at weight t_bar from z0.  Returns (z, converged)."""
-    slacks, value, assemble = barrier.slacks, barrier.value, barrier.assemble
+    """Minimize the barrier problem at weight t_bar from z0.  A generator of
+    requests; returns (z, converged).
+
+    The line searches ask for their candidates in blocks, as many as the
+    previous step needed (one at first), and take the first one that
+    passes, so that a solve needs fewer rounds of evaluation; the candidates
+    and the tests are those of a one-at-a-time search.
+    """
     z = z0.copy()
-    state = slacks(z)
-    if state is None:
+    _, newton = yield (_VALUE, barrier, z[None], t_bar, [math.inf])
+    if newton is None:
         raise NumericalFailure("barrier start point not strictly feasible")
-    bval = value(z, state, t_bar)
+    bval, grad, H, gnorm = newton
 
     grad_phase = False  # value progress exhausted; descend on gradient norm
+    width, max_width = 1, _max_rows(barrier.d)
     for _ in range(_MAX_NEWTON):
-        grad, H = assemble(z, state, t_bar)
-        gnorm = float(np.abs(grad).max())
-
         # the rescaled gradient is the KKT stationarity residual with the
         # barrier dual estimates, so gtol targets the certificate directly
         if gtol > 0.0 and gnorm <= gtol:
@@ -449,6 +799,7 @@ def _newton_barrier(barrier, z0, t_bar, gtol=0.0):
 
         step = _solve_pd(H, -grad)
         decrement = -float(grad @ step)
+        grad = H = newton = None  # let the evaluation's stacked arrays go
         scale = max(1.0, abs(bval))
         if not grad_phase and decrement / 2.0 <= 1e-13 * scale:
             if gtol <= 0.0:
@@ -458,33 +809,43 @@ def _newton_barrier(barrier, z0, t_bar, gtol=0.0):
         accepted = False
         if not grad_phase:
             # backtracking on the barrier value, staying strictly feasible
-            t_step = 1.0
-            for _ in range(60):
-                cand = z + t_step * step
-                st = slacks(cand)
-                if st is not None:
-                    bc = value(cand, st, t_bar)
-                    if bc <= bval - 0.25 * t_step * decrement + 4e-16 * scale:
-                        z, bval, state = cand, bc, st
+            t_step, tried = 1.0, 0
+            while tried < 60 and not accepted:
+                ts, bounds = [], []
+                for _ in range(min(width, 60 - tried)):
+                    ts.append(t_step)
+                    bounds.append(bval - 0.25 * t_step * decrement + 4e-16 * scale)
+                    t_step *= 0.5
+                cands = z + np.multiply.outer(ts, step)
+                values, newton = yield (_VALUE, barrier, cands, t_bar, bounds)
+                for i, bc in enumerate(values):
+                    tried += 1
+                    if bc is not None and bc <= bounds[i]:
+                        z, (bval, grad, H, gnorm) = cands[i], newton
                         accepted = True
+                        width = min(tried, max_width)
                         break
-                t_step *= 0.5
             if not accepted:
                 grad_phase = True
         if grad_phase:
             # near the center the value decrements drown in float noise, but
             # Newton still contracts the gradient; accept on gradient norm
-            t_step = 1.0
-            for _ in range(30):
-                cand = z + t_step * step
-                st = slacks(cand)
-                if st is not None:
-                    gc, _ = assemble(cand, st, t_bar, hess=False)
-                    if float(np.abs(gc).max()) < 0.9 * gnorm:
-                        z, bval, state = cand, value(cand, st, t_bar), st
+            t_step, tried = 1.0, 0
+            bound = 0.9 * gnorm
+            while tried < 30 and not accepted:
+                ts = []
+                for _ in range(min(width, 30 - tried)):
+                    ts.append(t_step)
+                    t_step *= 0.5
+                cands = z + np.multiply.outer(ts, step)
+                norms, newton = yield (_DESCENT, barrier, cands, t_bar, [bound] * len(ts))
+                for i, gc in enumerate(norms):
+                    tried += 1
+                    if gc is not None and gc < bound:
+                        z, (bval, grad, H, gnorm) = cands[i], newton
                         accepted = True
+                        width = min(tried, max_width)
                         break
-                t_step *= 0.5
             if not accepted:
                 # gradient is at its float-precision floor for this t_bar
                 return z, gnorm <= max(gtol, 1e-9 * scale)
@@ -500,11 +861,28 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
     """Maximize the sum-log utility subject to scheduling and
     delivery-probability constraints.  Raises InfeasibleDelay when no
     strictly feasible point exists for the given delta (phase I fails).
+    This is solve_utility_batch on a batch of one.
     """
+    (result,) = solve_utility_batch([instance])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def solve_utility_batch(instances: list[ProblemInstance]) -> list[Solution | Exception]:
+    """Solve every instance, each with its own control flow and float
+    operations, so that each result has the bytes its solve alone gives;
+    the problems' barrier evaluations run stacked.  Returns, per instance,
+    its Solution or the exception its solve raised (InfeasibleDelay,
+    NumericalFailure, ...)."""
+    return _drive([_utility_steps(inst) for inst in instances])
+
+
+def _utility_steps(instance: ProblemInstance):
+    """The solve of one instance, as a generator of evaluation requests."""
     m = instance.matrices
     delta, eta = instance.delta_s, instance.eta
     E, M = m.num_edges, m.num_ue
-    d = M + E
     log_eta = math.log(eta)
 
     # quick necessary check via the per-hop LP relaxation
@@ -516,79 +894,48 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
             f"(t* = {lp.t_star:.6g} <= zeta = {zeta:.6g})"
         )
 
-    geom = _LatencyGeometry(m, delta)
+    geom = _LatencyGeometry(m, delta, log_eta)
     Gmat = m.G
 
     box_lo = np.concatenate((np.full(M, LAMBDA_FLOOR), np.zeros(E)))
     box_hi = np.concatenate((np.full(M, np.inf), np.ones(E)))
 
-    # Interior start: back the LP schedule off the boundaries as far as the
-    # delivery constraints allow, and give the rates a share of the resulting
-    # service headroom.  Near-minimal delta leaves no backoff room; then the
-    # phase-one auxiliary problem locates a strictly feasible point.
-    users_per_edge = m.F.sum(axis=1)
-    z = None
-    best, best_margin = None, -np.inf
-    for sigma in (0.2, 0.1, 0.05, 0.02, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8):
-        mu0 = np.clip(lp.mu, sigma, 1.0 - sigma)
-        row = Gmat @ mu0
-        if row.max() >= 1.0 - sigma / 2:
-            mu0 *= (1.0 - sigma) / row.max()
-        headroom = float(np.min(m.C * mu0 / users_per_edge))
-        for alpha in (0.05, 0.01, 1e-3, 1e-4, 0.0):
-            lam0 = max(alpha * headroom, 2.0 * LAMBDA_FLOOR)
-            cand = np.concatenate((np.full(M, lam0), mu0))
-            g, _ = geom.eval(cand, log_eta)
-            if g is None:
-                continue
-            margin = float(np.min(g))
-            if margin > best_margin:
-                best, best_margin = cand, margin
-            if margin > 1e-3:
-                z = cand
-                break
-        if z is not None:
-            break
+    z, best, best_margin = _interior_start(m, lp.mu, geom)
     if z is None:
         if best is None:
             raise NumericalFailure("no start candidate has positive rate gaps")
-        z = best if best_margin > 1e-8 else _phase_one(best, geom, log_eta, box_lo,
-                                                       box_hi, Gmat, M)
+        if best_margin > 1e-8:
+            z = best
+        else:
+            z = yield from _phase_one(best, geom, box_lo, box_hi, Gmat, M)
 
-    def f_val(zz):
-        return -_sum_log(zz[:M])
-
-    def f_grad_hess(zz):
-        lam = zz[:M]
-        grad = np.zeros(d)
-        hd = np.zeros(d)
-        grad[:M] = -1.0 / lam
-        hd[:M] = 1.0 / lam**2
-        return grad, hd
-
-    barrier = _Barrier(f_val, f_grad_hess, geom, log_eta, box_lo, box_hi, Gmat, M)
+    barrier = _Barrier(geom, box_lo, box_hi, Gmat, M)
 
     def gtol_for(zz):
         return 0.4e-6 * max(abs(_sum_log(zz[:M])), 1e-3)
 
     def center(zz, t_from, t_to, depth=0):
         """Re-center at barrier weight t_to, bisecting the jump on failure."""
-        z2, ok = _newton_barrier(barrier, zz, t_to, gtol_for(zz))
+        z2, ok = yield from _newton_barrier(barrier, zz, t_to, gtol_for(zz))
         if ok:
             return z2
         if depth >= 6 or t_to / t_from < 1.3:
             raise NumericalFailure(f"inner Newton did not converge at t = {t_to:.3g}")
         mid = math.sqrt(t_from * t_to)
-        return center(center(zz, t_from, mid, depth + 1), mid, t_to, depth + 1)
+        z_mid = yield from center(zz, t_from, mid, depth + 1)
+        return (yield from center(z_mid, mid, t_to, depth + 1))
 
+    # The first centering has no smaller weight to bisect from.  Its iterate
+    # is strictly feasible whether or not it met gtol, so the outer loop
+    # continues from it; later centerings and the final gate decide.
     t_bar = 1.0
-    z = center(z, 1.0, t_bar)
+    z, _ = yield from _newton_barrier(barrier, z, t_bar, gtol_for(z))
     while t_bar <= 1e14:
         gap = barrier.n_con / t_bar
         if gap <= 1e-6 * max(abs(_sum_log(z[:M])), 1e-3):
             break
         try:
-            z = center(z, t_bar, t_bar * BARRIER_MULT)
+            z = yield from center(z, t_bar, t_bar * BARRIER_MULT)
         except NumericalFailure:
             break  # gradient floor reached; z is centered at t_bar
         t_bar *= BARRIER_MULT
@@ -596,7 +943,7 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
     # every centering returns a gradient norm within gtol_for, and that
     # gradient is the KKT residual at its barrier weight: the 1e-6 gate
     # below sits 2.5x above the 0.4e-6 inner tolerance
-    kkt = barrier.kkt_residual(z, t_bar)
+    kkt = yield (_KKT, barrier, z[None], t_bar, [math.inf])
     obj = _sum_log(z[:M])
     if kkt > 1e-6 * max(abs(obj), 1e-3):
         raise NumericalFailure(
@@ -607,69 +954,63 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
     return Solution(lam=z[:M], mu=z[M:], objective=obj, kkt_residual=kkt)
 
 
-class _ShiftedGeometry:
-    """Phase-one view of a geometry over the extended variable ze = (z, s):
-    the margins become u_m = g_m(z) - s."""
+def _interior_start(m: NetworkMatrices, lp_mu: np.ndarray, geom: _LatencyGeometry):
+    """(z, best, best_margin): a start point with margins above 1e-3, else
+    None, with the candidate of largest margin and that margin.
 
-    def __init__(self, geom: _LatencyGeometry):
-        self.geom = geom
+    Backs the LP schedule off the boundaries as far as the delivery
+    constraints allow, and gives the rates a share of the resulting service
+    headroom.  Near-minimal delta leaves no backoff room; then the phase-one
+    auxiliary problem locates a strictly feasible point.  The margins of one
+    sigma's candidates come from one evaluation.
+    """
+    M = m.num_ue
+    users_per_edge = m.F.sum(axis=1)
+    alphas = (0.05, 0.01, 1e-3, 1e-4, 0.0)
+    starts = _GeometryStack([geom])  # its arrays broadcast over the candidates
+    best, best_margin = None, -np.inf
+    for sigma in (0.2, 0.1, 0.05, 0.02, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8):
+        mu0 = np.clip(lp_mu, sigma, 1.0 - sigma)
+        row = m.G @ mu0
+        if row.max() >= 1.0 - sigma / 2:
+            mu0 *= (1.0 - sigma) / row.max()
+        headroom = float(np.min(m.C * mu0 / users_per_edge))
+        cands = [np.concatenate((np.full(M, max(alpha * headroom, 2.0 * LAMBDA_FLOOR)), mu0))
+                 for alpha in alphas]
+        for cand, g in zip(cands, _margins(starts, np.stack(cands))):
+            if g is None:
+                continue
+            margin = float(np.min(g))
+            if margin > best_margin:
+                best, best_margin = cand, margin
+            if margin > 1e-3:
+                return cand, best, best_margin
+    return None, best, best_margin
 
-    def eval(self, ze, le):
-        g, x = self.geom.eval(ze[:-1], le)
-        if g is None:
-            return None, x
-        return g - ze[-1], x
 
-    # g below is the shifted margin u_m = g_m(z) - s
-    def grad_barrier(self, ze, g, x):
-        gl = self.geom.grad_barrier(ze[:-1], g, x)
-        return np.concatenate((gl, [float((1.0 / g).sum())]))
-
-    def grad_hess_barrier(self, ze, g, x):
-        d = ze.size - 1
-        gl, Hl, Jg = self.geom.grad_hess_barrier(ze[:-1], g, x)
-        ge = np.concatenate((gl, [float((1.0 / g).sum())]))
-        He = np.zeros((d + 1, d + 1))
-        He[:d, :d] = Hl
-        cross = -(Jg / (g**2)[:, None]).sum(axis=0)
-        He[:d, -1] = cross
-        He[-1, :d] = cross
-        He[-1, -1] = float((1.0 / g**2).sum())
-        return ge, He, None
-
-
-def _phase_one(z0, geom, log_eta, box_lo, box_hi, Gmat, M):
+def _phase_one(z0, geom, box_lo, box_hi, Gmat, M):
     """Maximize the worst delivery-constraint margin until it is positive.
 
     Augments z with a scalar s, maximizing s subject to g_m(z) >= s and the
     original box/scheduling constraints, from a z0 with positive rate gaps.
-    Returns a strictly feasible z, raises InfeasibleDelay when none exists,
-    and NumericalFailure when a centering does not converge.
+    A generator of requests; returns a strictly feasible z, raises
+    InfeasibleDelay when none exists, and NumericalFailure when a centering
+    does not converge.
     """
-    d = z0.size
-    g0, _ = geom.eval(z0, log_eta)
+    one = _GeometryStack([geom])
+    (g0,) = _margins(one, z0[None])
     s0 = float(np.min(g0)) - 1.0
 
-    sg = _ShiftedGeometry(geom)
     ze = np.concatenate((z0, [s0]))
     lo = np.concatenate((box_lo, [-np.inf]))
     hi = np.concatenate((box_hi, [np.inf]))
     Gext = np.hstack((Gmat, np.zeros((Gmat.shape[0], 1))))
 
-    def f_val(zz):
-        return -zz[-1]  # maximize s
-
-    grad_s = np.zeros(d + 1)
-    grad_s[-1] = -1.0
-
-    def f_grad_hess(zz):
-        return grad_s, np.zeros(d + 1)
-
-    barrier = _Barrier(f_val, f_grad_hess, sg, log_eta, lo, hi, Gext, M)
+    barrier = _Barrier(geom, lo, hi, Gext, M, phase_one=True)
     t_bar = 1.0
     while t_bar <= 1e12:
-        ze, ok = _newton_barrier(barrier, ze, t_bar)
-        g, _ = geom.eval(ze[:-1], log_eta)
+        ze, ok = yield from _newton_barrier(barrier, ze, t_bar)
+        (g,) = _margins(one, ze[None, :-1])
         if g is not None and g.min() > 1e-8:
             return ze[:-1]
         if not ok:

@@ -228,15 +228,15 @@ class TestRunners:
 
     def test_rate_sweep_solves_each_distinct_problem_once(self, monkeypatch):
         # Half duplex ignores RINR, so each drop needs one HD solve and one FD
-        # solve per RINR value: 2 drops x (1 + 3) = 8.
+        # solve per RINR value: 2 drops x (1 + 3) = 8, in one batch.
         calls = []
-        solve = experiments.solve_utility_max
+        solve = experiments.solve_utility_batch
         monkeypatch.setattr(
-            experiments, "solve_utility_max", lambda inst: calls.append(inst) or solve(inst)
+            experiments, "solve_utility_batch", lambda insts: calls.append(insts) or solve(insts)
         )
         cfg = small_cfg(duplex=DuplexConfig(modes=("hd", "fd"), rinr_db_sweep=(-10.0, 0.0, 10.0)))
         run_rate_sweep(cfg)
-        assert len(calls) == 8
+        assert [len(insts) for insts in calls] == [8]
 
     def test_min_delay_sweep_cross_checked(self):
         cfg = small_cfg()
@@ -268,6 +268,35 @@ class TestRunners:
         for r in mode_rows:
             if r["feasible"]:
                 assert r["t_star"] > 0 and r["closed_form_rel_err"] <= 1e-6
+
+    def test_min_delay_nesting_fails_at_finite_rinr(self):
+        # Criterion 7's nesting rule (FD t* at least HD t*) holds at RINR
+        # -inf but not at -15 dB: full duplex lowers edge 0's capacity, and
+        # on this drop both modes bind at the donor row, so FD's t* falls
+        # below HD's at every rate floor although the LP equals the closed
+        # form.  Drop 0 of the min-delay benchmark batch at mc.seed 4000062.
+        lambdas = (10.0, 50.0, 100.0, 200.0, 400.0)
+        cfg = ExperimentConfig(
+            topology=TopologyConfig(kind="line", K=3, w=2),
+            qos=QosConfig(lambda_min_pps=lambdas),
+            duplex=DuplexConfig(modes=("hd", "fd"), rinr_db_sweep=(-15.0,)),
+            mc=McConfig(n_drops=1, seed=4000062),
+        )
+        (res,) = run_min_delay_sweep(cfg)
+        rows = {(r["lambda_min_pps"], r["mode"]): r for r in res.rows}
+        for lam in lambdas:
+            hd, fd = rows[lam, "hd"], rows[lam, "fd"]
+            assert hd["closed_form_rel_err"] <= 1e-6 and fd["closed_form_rel_err"] <= 1e-6
+            assert hd["bottleneck_bs"] == fd["bottleneck_bs"] == 0
+            assert hd["feasible"] and fd["feasible"] and fd["t_star"] < hd["t_star"]
+        assert rows[10.0, "fd"]["t_star"] == pytest.approx(539.0928, abs=1e-4)
+        assert rows[10.0, "hd"]["t_star"] == pytest.approx(540.0659, abs=1e-4)
+        _, links = _drop_links(cfg, base_tree(cfg), 0)
+        caps = {mode: capacity_from_links(links, mode, RinrConfig(rinr_db=-15.0), _budget(cfg),
+                                          _packet_bits(cfg))[0]
+                for mode in DuplexMode}
+        assert caps[DuplexMode.FULL_DUPLEX] == pytest.approx(8328.2, abs=0.1)
+        assert caps[DuplexMode.HALF_DUPLEX] == pytest.approx(8383.8, abs=0.1)
 
     def test_queue_validation_report(self):
         cfg = small_cfg(

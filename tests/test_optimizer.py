@@ -25,6 +25,7 @@ from iabnet.optimizer import (
     InfeasibleRate,
     NumericalFailure,
     ProblemInstance,
+    _GeometryStack,
     _LatencyGeometry,
     _ShiftedGeometry,
     _psi,
@@ -33,6 +34,7 @@ from iabnet.optimizer import (
     constraint_report,
     min_feasible_delay,
     solve_min_delay_lp,
+    solve_utility_batch,
     solve_utility_max,
 )
 from iabnet.queueing import route_log_cdf
@@ -303,9 +305,9 @@ class TestUtilityMax:
         inner = optimizer._newton_barrier
 
         def stalled(barrier, z0, t_bar, gtol=0.0):
-            if isinstance(barrier.geom, _ShiftedGeometry):
+            if barrier.phase_one:
                 return z0.copy(), False
-            return inner(barrier, z0, t_bar, gtol)
+            return (yield from inner(barrier, z0, t_bar, gtol))
 
         monkeypatch.setattr(optimizer, "_newton_barrier", stalled)
         # this point needs phase one (TestPinnedSolves)
@@ -316,7 +318,8 @@ class TestUtilityMax:
         m = network_matrices(line_network(1, 1), HD, 2000.0)
         inst = ProblemInstance(matrices=m, eta=0.9, delta_s=_feasible_delta(m))
         solve_utility_max(inst)  # certified without the patch
-        monkeypatch.setattr(optimizer._Barrier, "kkt_residual", lambda self, z, t_bar: 1.0)
+        monkeypatch.setattr(optimizer._BarrierStack, "kkt_residual",
+                            lambda self, Z, X, S, T: np.ones(len(Z)))
         with pytest.raises(NumericalFailure, match="could not certify"):
             solve_utility_max(inst)
 
@@ -365,6 +368,11 @@ def _dense_oracle(m, delta, z, log_eta):
     return g, -Js.sum(axis=0), H, Jg
 
 
+def _one(m, delta, log_eta):
+    """The geometry of one problem, as a stack of one."""
+    return _GeometryStack([_LatencyGeometry(m, delta, log_eta)])
+
+
 class TestLatencyGeometry:
     @pytest.mark.parametrize("mode", [HD, FD])
     @pytest.mark.parametrize("seed", range(6))
@@ -373,11 +381,11 @@ class TestLatencyGeometry:
         _, m = random_instance(rng, mode)
         delta, z, log_eta = _geometry_point(rng, m)
         want_g, want_grad, want_H, want_Jg = _dense_oracle(m, delta, z, log_eta)
-        geom = _LatencyGeometry(m, delta)
+        geom = _one(m, delta, log_eta)
         with np.errstate(over="raise", invalid="raise"):
-            g, x = geom.eval(z, log_eta)
-            grad, H, Jg = geom.grad_hess_barrier(z, g, x)
-        assert x.min() <= 1.0001e-3 and x.max() >= 0.9999e3
+            (g,), (x,), (ok,) = geom.eval(z[None])
+            (grad,), (H,), (Jg,) = geom.grad_hess_barrier(z[None], g[None], x[None])
+        assert ok and x.min() <= 1.0001e-3 and x.max() >= 0.9999e3
         np.testing.assert_allclose(g, want_g, rtol=1e-10)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-10)
         np.testing.assert_allclose(H, want_H, rtol=1e-10)
@@ -395,7 +403,7 @@ class TestLatencyGeometry:
         lam = rng.uniform(1.0, 100.0, m.num_ue)
         gap = 10.0 ** rng.uniform(math.log10(0.05), math.log10(3.0), m.num_edges) * m.h_tilde / delta
         mu = (m.F @ lam + gap) / m.C
-        g, _ = _LatencyGeometry(m, delta).eval(np.concatenate((lam, mu)), log_eta)
+        (g,), _, _ = _one(m, delta, log_eta).eval(np.concatenate((lam, mu))[None])
         gap = m.C * mu - m.F @ lam
         law = route_log_cdf(m, gap, delta)
         np.testing.assert_allclose(g + log_eta, law, rtol=1e-12)
@@ -405,10 +413,32 @@ class TestLatencyGeometry:
 
     def test_nonpositive_gap_rejected(self):
         m = network_matrices(line_network(1, 1), HD, 1000.0)
-        geom = _LatencyGeometry(m, 0.01)
+        geom = _one(m, 0.01, math.log(0.9))
         z = np.concatenate((np.full(m.num_ue, 100.0), np.full(m.num_edges, 0.05)))
-        g, x = geom.eval(z, math.log(0.9))
-        assert g is None and np.any(x <= 0)
+        _, (x,), (ok,) = geom.eval(z[None])
+        assert not ok and np.any(x <= 0)
+        assert optimizer._margins(geom, z[None]) == [None]
+
+    def test_stacked_rows_equal_single_rows(self):
+        # one stacked evaluation of several problems of one layout gives
+        # each problem the bytes it gets alone
+        rng = np.random.default_rng(450)
+        tree = line_network(3, 2)
+        probs = []
+        for _ in range(5):
+            m = network_matrices(tree, FD, 10.0 ** rng.uniform(2.0, 4.0, tree.num_edges))
+            probs.append((m, *_geometry_point(rng, m)))
+        stack = _GeometryStack([_LatencyGeometry(m, d, le) for m, d, _, le in probs])
+        Z = np.stack([z for _, _, z, _ in probs])
+        G, X, ok = stack.eval(Z)
+        grad, H, Jg = stack.grad_hess_barrier(Z, G, X)
+        for i, (m, delta, z, log_eta) in enumerate(probs):
+            one = _one(m, delta, log_eta)
+            g1, x1, _ = one.eval(z[None])
+            for got, want in zip((G[i], X[i], grad[i], H[i], Jg[i]),
+                                 (g1, x1, *one.grad_hess_barrier(z[None], g1, x1))):
+                assert got.tobytes() == want.tobytes()
+        assert ok.all()
 
     @pytest.mark.parametrize("mode", [HD, FD])
     @pytest.mark.parametrize("seed", range(3))
@@ -416,16 +446,16 @@ class TestLatencyGeometry:
         rng = np.random.default_rng(400 + seed)
         _, m = random_instance(rng, mode)
         delta, z, log_eta = _geometry_point(rng, m, x_lo=0.05, x_hi=5.0)
-        sg = _ShiftedGeometry(_LatencyGeometry(m, delta))
+        sg = _ShiftedGeometry(_one(m, delta, log_eta))
         ze = np.concatenate((z, [0.5]))  # margins u_m = g_m - s >= 0.5
 
         def phi(v):
-            u, _ = sg.eval(v, log_eta)
+            (u,), _, _ = sg.eval(v[None])
             return -np.sum(np.log(u))
 
         def grad_hess(v):
-            u, x = sg.eval(v, log_eta)
-            ge, He, _ = sg.grad_hess_barrier(v, u, x)
+            u, x, _ = sg.eval(v[None])
+            (ge,), (He,), _ = sg.grad_hess_barrier(v[None], u, x)
             return ge, He
 
         with np.errstate(over="raise", invalid="raise"):
@@ -448,12 +478,13 @@ class TestLatencyGeometry:
         rng = np.random.default_rng(600 + seed)
         _, m = random_instance(rng, mode)
         delta, z, log_eta = _geometry_point(rng, m)
-        geom = _LatencyGeometry(m, delta)
-        g, x = geom.eval(z, log_eta)
-        assert np.array_equal(geom.grad_barrier(z, g, x), geom.grad_hess_barrier(z, g, x)[0])
+        geom = _one(m, delta, log_eta)
+        g, x, _ = geom.eval(z[None])
+        assert np.array_equal(geom.grad_barrier(z[None], g, x),
+                              geom.grad_hess_barrier(z[None], g, x)[0])
         sg = _ShiftedGeometry(geom)
-        ze = np.concatenate((z, [0.5]))
-        u, x = sg.eval(ze, log_eta)
+        ze = np.concatenate((z, [0.5]))[None]
+        u, x, _ = sg.eval(ze)
         assert np.array_equal(sg.grad_barrier(ze, u, x), sg.grad_hess_barrier(ze, u, x)[0])
 
 
@@ -583,3 +614,105 @@ class TestPinnedSolves:
         with pytest.raises(InfeasibleDelay, match="best margin at most"):
             solve_utility_max(_config_point("rate-sweep", drop, HD, -20.0))
         assert linear_solves[0] == solves < budget_solves
+
+
+def _line_point(seed, mode, rinr_db, delta=3.5e-3):
+    """The utility problem of drop 0 of a line K=3 w=2 rate sweep (the
+    benchmark's rate-sweep shape: delta = 3.5 ms, eta = 0.9) with mc.seed."""
+    cfg = ExperimentConfig.from_dict({"topology": {"kind": "line", "K": 3, "w": 2},
+                                      "qos": {"delta_s": delta},
+                                      "duplex": {"rinr_db_sweep": [rinr_db]},
+                                      "mc": {"seed": seed}})
+    tree, links = _drop_links(cfg, base_tree(cfg), 0)
+    caps = _capacities(cfg, links, mode, rinr_db)
+    return ProblemInstance(matrices=network_matrices(tree, mode, caps), eta=0.9, delta_s=delta)
+
+
+def _outcome(result):
+    """The bytes of a Solution, or the type and message of an exception."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return (result.lam.tobytes(), result.mu.tobytes(),
+            np.float64(result.objective).tobytes(), np.float64(result.kkt_residual).tobytes())
+
+
+def _solo(inst):
+    try:
+        return solve_utility_max(inst)
+    except (InfeasibleDelay, NumericalFailure) as exc:
+        return exc
+
+
+class TestFirstCentering:
+    def test_stalled_first_centering_goes_on_to_a_certified_optimum(self, monkeypatch):
+        # the first centering (t = 1) meets a gradient floor above gtol and
+        # used to raise "inner Newton did not converge at t = 1"; its iterate
+        # is strictly feasible, and the later centerings certify the optimum
+        inst = _line_point(1000062, FD, 10.0)
+        first = []
+        inner = optimizer._newton_barrier
+
+        def recorded(barrier, z0, t_bar, gtol=0.0):
+            z, ok = yield from inner(barrier, z0, t_bar, gtol)
+            if not barrier.phase_one and not first:
+                first.append((t_bar, ok))
+            return z, ok
+
+        monkeypatch.setattr(optimizer, "_newton_barrier", recorded)
+        sol = solve_utility_max(inst)
+        assert first == [(1.0, False)]
+        # criterion 9's certificate thresholds
+        rep = constraint_report(inst, sol)
+        assert rep["scheduling"] <= 1e-8
+        assert rep["mu_upper"] <= 1e-8
+        assert rep["mu_lower"] >= -1e-8
+        assert rep["stability_gap"] > 0
+        assert rep["latency_margin"] >= -1e-8
+        assert sol.kkt_residual <= 1e-6 * max(abs(sol.objective), 1e-3)
+        assert sol.objective == pytest.approx(41.755, abs=1e-3)
+
+
+class TestBatch:
+    def test_mixed_batch_equals_solo_solves(self):
+        # a problem solved inside a mixed batch, in either order, keeps the
+        # bytes and the exception it gets alone
+        direct = _config_point("rate-sweep", 0, FD, -20.0)
+        insts = [
+            direct,
+            _config_point("rate-sweep", 16, HD, -20.0),  # phase one, then optimal
+            _config_point("rate-sweep", 12, HD, -20.0),  # phase one rejects
+            ProblemInstance(matrices=direct.matrices, eta=0.9, delta_s=1e-4),  # LP rejects
+            # a delay-axis pair: the capacities of direct at a second delta
+            ProblemInstance(matrices=direct.matrices, eta=0.9, delta_s=1.5 * direct.delta_s),
+            _line_point(1000062, FD, 10.0),  # first centering stalls
+            _line_point(8000373, FD, 10.0),  # uncertified
+        ]
+        solo = [_outcome(_solo(inst)) for inst in insts]
+        kinds = [s[0] if isinstance(s[0], str) else "optimal" for s in solo]
+        assert kinds == ["optimal", "optimal", "InfeasibleDelay", "InfeasibleDelay",
+                         "optimal", "optimal", "NumericalFailure"]
+        assert "best margin at most" in solo[2][1]
+        assert "below minimum feasible delay" in solo[3][1]
+        assert solo[6][1].startswith("could not certify stationarity")
+        assert [_outcome(r) for r in solve_utility_batch(insts)] == solo
+        assert [_outcome(r) for r in solve_utility_batch(insts[::-1])] == solo[::-1]
+
+    def test_batch_makes_the_pinned_linear_solves(self, linear_solves):
+        # _solve_pd stays a per-problem call, so a batch of the pinned points
+        # of TestPinnedSolves makes the sum of their counts
+        insts = [_config_point("rate-sweep", drop, mode, rinr_db)
+                 for drop, mode, rinr_db in ((16, HD, -20.0), (4, FD, 10.0), (0, FD, -20.0))]
+        solve_utility_batch(insts)
+        assert linear_solves[0] == 99 + 111 + 46
+
+    def test_empty_batch(self):
+        assert solve_utility_batch([]) == []
+
+    def test_split_groups_equal_solo_solves(self, monkeypatch):
+        # with room for one point per stacked evaluation, every request is
+        # its own group and every line search asks for one candidate
+        monkeypatch.setattr(optimizer, "_STACK_CELLS", 1)
+        insts = [_config_point("rate-sweep", drop, mode, -20.0)
+                 for drop, mode in ((0, FD), (16, HD), (12, HD))]
+        solo = [_outcome(_solo(inst)) for inst in insts]
+        assert [_outcome(r) for r in solve_utility_batch(insts)] == solo
