@@ -6,12 +6,13 @@ comparison), and writes figure-ready CSV tables plus a <name>.run.json
 manifest per experiment, so several experiments can share one output
 directory.
 
-The utility sweeps run in three steps.  Plan: draw every drop in order and
+The utility sweeps run each drop in three steps.  Plan: draw the drop and
 list its distinct problems, keyed on (mode, capacity vector, delta), so
 sweep points that leave a mode's capacities unchanged (half duplex across
 an RINR sweep) read one problem.  Solve: one solve_utility_batch call
-solves the whole plan, every drop's problems together.  Rows: build each
-drop's rows from the results.  The min-delay sweep builds each mode's
+solves the drop's problems together.  Rows: build the drop's rows from the
+results.  Batching per drop bounds the problems alive at once by one
+drop's, whatever n_drops is.  The min-delay sweep builds each mode's
 matrices once per drop.
 
 Drops run serially; each owns an independent RNG substream keyed by
@@ -304,8 +305,9 @@ def _capacities(cfg, links, mode: DuplexMode, rinr_db: float) -> np.ndarray:
 
 
 def _status(result):
-    """(solution or None, status string) of one solve_utility_batch result;
-    an exception other than the two verdicts propagates."""
+    """(solution or None, status string) of one solve's result, its Solution
+    or the exception it raised; an exception other than the two verdicts
+    propagates."""
     if isinstance(result, InfeasibleDelay):
         return None, "infeasible"
     if isinstance(result, NumericalFailure):  # recorded, never fatal per drop
@@ -320,11 +322,10 @@ def _solve_utility(cfg, tree, mode, caps, delta_s):
     mats = network_matrices(tree, mode, caps)
     inst = ProblemInstance(matrices=mats, eta=cfg.qos.eta, delta_s=delta_s)
     try:
-        return solve_utility_max(inst), "optimal", inst
-    except InfeasibleDelay:
-        return None, "infeasible", inst
-    except NumericalFailure as exc:  # recorded, never fatal per drop
-        return None, f"error:{exc}", inst
+        result = solve_utility_max(inst)
+    except (InfeasibleDelay, NumericalFailure) as exc:
+        result = exc
+    return (*_status(result), inst)
 
 
 def _gain_cell(num: float | None, den: float | None) -> tuple[str, bool]:
@@ -346,12 +347,11 @@ def _utility_sweep(cfg: ExperimentConfig, axis: str) -> list[DropResult]:
     """Per-hop sum rates and FD/HD rate gain along one axis, "rinr_db" or
     "delta_s"; the other is held at its first value.
 
-    Plan, solve, rows: the plan lists every drop's distinct problems, each
-    (mode, capacity vector, delta) of a drop once, and which problem each
-    sweep point reads; one solve_utility_batch call solves the whole plan;
-    the rows are then built from its results.  Keying on the capacities
-    rather than on the RINR keeps the channel's rule of which edges RINR
-    degrades out of this module.
+    Per drop: plan its distinct problems, each (mode, capacity vector,
+    delta) once, and which problem each sweep point reads; solve them with
+    one solve_utility_batch call; build the rows from the results.  Keying
+    on the capacities rather than on the RINR keeps the channel's rule of
+    which edges RINR degrades out of this module.
     """
     rinrs = list(cfg.duplex.rinr_db_sweep)
     deltas = [float(d) for d in np.atleast_1d(cfg.qos.delta_s)]
@@ -362,13 +362,12 @@ def _utility_sweep(cfg: ExperimentConfig, axis: str) -> list[DropResult]:
     hd, fd = DuplexMode.HALF_DUPLEX, DuplexMode.FULL_DUPLEX
     modes = _modes(cfg)
     tree0 = base_tree(cfg)
-
-    # plan: per drop, its tree and, per point, the problem each mode reads
-    instances: list[ProblemInstance] = []
-    plan = []
+    results = []
     for drop in range(cfg.mc.n_drops):
         tree, links = _drop_links(cfg, tree0, drop)
+        # plan: the drop's problems, and per point the problem each mode reads
         problem: dict = {}
+        instances: list[ProblemInstance] = []
         reads = []
         for value, rinr_db, delta in points:
             read = {}
@@ -381,12 +380,9 @@ def _utility_sweep(cfg: ExperimentConfig, axis: str) -> list[DropResult]:
                                                      eta=cfg.qos.eta, delta_s=delta))
                 read[mode] = problem[key]
             reads.append((value, read))
-        plan.append((drop, tree, reads))
 
-    solved = [_status(res) for res in solve_utility_batch(instances)]
+        solved = [_status(res) for res in solve_utility_batch(instances)]
 
-    results = []
-    for drop, tree, reads in plan:
         rows = []
         for value, read in reads:
             rates, stats = {}, {}

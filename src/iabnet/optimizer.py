@@ -56,7 +56,9 @@ width: d, or d + 1 in phase one), evaluates each group once with the
 stacked _BarrierStack and _GeometryStack code, whose arrays carry a leading
 batch axis, and sends each problem its replies.  solve_utility_max is that
 driver on a batch of one, so there is one code path.  The LP pre-check, the
-start search and the Cholesky solves (_solve_pd) stay per problem.
+start search and the Cholesky solves (_solve_pd) stay per problem, and
+problems too large to stack (_STACK_CELLS) run one after another through
+solve_utility_max.
 
 Bit-exact rules.  Each problem keeps its control flow and its float
 operations, so every iterate, every artifact byte, and every exception type
@@ -115,6 +117,7 @@ _MAX_NEWTON = 200
 # and never fewer than one: stacking saves per-call overhead, which small
 # problems are made of, while the d x d arrays of large ones would outgrow
 # the cache (line K=8 w=20, d = 368, ran about 10% slower two at a time).
+# solve_utility_batch solves a problem with room for one point on its own.
 _STACK_CELLS = 1 << 17
 
 # The options linprog(method="highs") sets (scipy's _linprog_highs); HiGHS
@@ -478,18 +481,16 @@ def _solve_pd(H, rhs):
     and cho_solve pass them, without those wrappers' per-call overhead.  A
     non-finite system raises NumericalFailure.
     """
-    # a sum is finite only if every term is; an overflowing sum of finite
-    # terms falls through to the elementwise test
-    if not (math.isfinite(H.sum()) and math.isfinite(rhs.sum())
-            or np.isfinite(H).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
         raise NumericalFailure("non-finite Newton system")
     jitter = 0.0
+    scale = np.abs(H.diagonal()).max()
     for _ in range(12):
         c, info = dpotrf(H + jitter * np.eye(H.shape[0]) if jitter else H,
                          lower=False, clean=False)
         if info == 0:
             return dpotrs(c, rhs, lower=False)[0]
-        jitter = max(jitter * 100.0, 1e-14 * np.abs(H.diagonal()).max())
+        jitter = max(jitter * 100.0, 1e-14 * scale)
     raise NumericalFailure("Hessian factorization failed")
 
 
@@ -720,7 +721,7 @@ def _drive(steps):
     out = [None] * len(steps)
     replies = [None] * len(steps)
     live = list(range(len(steps)))
-    stacks: dict = {}  # ids of a group's barriers -> (the barriers, their stack)
+    stacks: dict = {}  # a group's barriers -> their stack, kept for the batch
     while live:
         groups: dict = {}
         for i in live:
@@ -752,15 +753,12 @@ def _drive(steps):
             sizes.append(len(bounds))
         live = []
         for (kind, *_), (ids, barriers, Zs, ts, bounds, sizes) in groups.items():
-            key = tuple(map(id, barriers))
-            if key not in stacks:
-                if len(stacks) >= 8:
-                    stacks.clear()
-                # the barriers stay referenced, so their ids are not reused
-                stacks[key] = (barriers, _BarrierStack(barriers))
+            key = tuple(barriers)
+            stack = stacks.get(key)
+            if stack is None:
+                stack = stacks[key] = _BarrierStack(barriers)
             Z = Zs[0] if len(Zs) == 1 else np.concatenate(Zs)
-            for i, reply in zip(ids, _evaluate(kind, stacks[key][1], Z, np.array(ts),
-                                               bounds, sizes)):
+            for i, reply in zip(ids, _evaluate(kind, stack, Z, np.array(ts), bounds, sizes)):
                 replies[i] = reply
             live += ids
         live.sort()
@@ -861,9 +859,9 @@ def solve_utility_max(instance: ProblemInstance) -> Solution:
     """Maximize the sum-log utility subject to scheduling and
     delivery-probability constraints.  Raises InfeasibleDelay when no
     strictly feasible point exists for the given delta (phase I fails).
-    This is solve_utility_batch on a batch of one.
+    This is the batch driver on a batch of one.
     """
-    (result,) = solve_utility_batch([instance])
+    (result,) = _drive([_utility_steps(instance)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -874,8 +872,26 @@ def solve_utility_batch(instances: list[ProblemInstance]) -> list[Solution | Exc
     operations, so that each result has the bytes its solve alone gives;
     the problems' barrier evaluations run stacked.  Returns, per instance,
     its Solution or the exception its solve raised (InfeasibleDelay,
-    NumericalFailure, ...)."""
-    return _drive([_utility_steps(inst) for inst in instances])
+    NumericalFailure, ...).
+
+    A problem too large to stack (one point of its width d fills a stacked
+    evaluation) gains nothing from running beside the others, so those are
+    solved one after another through solve_utility_max, one alive at a time.
+    """
+    out: list = [None] * len(instances)
+    stacked = []
+    for i, inst in enumerate(instances):
+        m = inst.matrices
+        if _max_rows(m.num_ue + m.num_edges) > 1:
+            stacked.append(i)
+            continue
+        try:
+            out[i] = solve_utility_max(inst)
+        except Exception as exc:  # without this frame, as in _drive
+            out[i] = exc.with_traceback(exc.__traceback__.tb_next)
+    for i, result in zip(stacked, _drive([_utility_steps(instances[i]) for i in stacked])):
+        out[i] = result
+    return out
 
 
 def _utility_steps(instance: ProblemInstance):

@@ -228,7 +228,7 @@ class TestRunners:
 
     def test_rate_sweep_solves_each_distinct_problem_once(self, monkeypatch):
         # Half duplex ignores RINR, so each drop needs one HD solve and one FD
-        # solve per RINR value: 2 drops x (1 + 3) = 8, in one batch.
+        # solve per RINR value: 1 + 3 = 4, in one batch per drop.
         calls = []
         solve = experiments.solve_utility_batch
         monkeypatch.setattr(
@@ -236,7 +236,7 @@ class TestRunners:
         )
         cfg = small_cfg(duplex=DuplexConfig(modes=("hd", "fd"), rinr_db_sweep=(-10.0, 0.0, 10.0)))
         run_rate_sweep(cfg)
-        assert [len(insts) for insts in calls] == [8]
+        assert [len(insts) for insts in calls] == [4, 4]
 
     def test_min_delay_sweep_cross_checked(self):
         cfg = small_cfg()

@@ -709,10 +709,25 @@ class TestBatch:
         assert solve_utility_batch([]) == []
 
     def test_split_groups_equal_solo_solves(self, monkeypatch):
-        # with room for one point per stacked evaluation, every request is
-        # its own group and every line search asks for one candidate
-        monkeypatch.setattr(optimizer, "_STACK_CELLS", 1)
+        # with room for two points of width d and one of phase one's d + 1,
+        # full groups close and line searches ask for at most two candidates
+        insts = [_config_point("rate-sweep", drop, mode, -20.0)
+                 for drop, mode in ((0, FD), (16, HD), (12, HD))]
+        d = insts[0].matrices.num_ue + insts[0].matrices.num_edges
+        monkeypatch.setattr(optimizer, "_STACK_CELLS", 2 * d * d)
+        solo = [_outcome(_solo(inst)) for inst in insts]
+        assert [_outcome(r) for r in solve_utility_batch(insts)] == solo
+
+    def test_problems_too_large_to_stack_are_solved_one_at_a_time(self, monkeypatch):
+        # with room for one point per stacked evaluation, the batch solves
+        # each problem through solve_utility_max, with the bytes of a solo solve
         insts = [_config_point("rate-sweep", drop, mode, -20.0)
                  for drop, mode in ((0, FD), (16, HD), (12, HD))]
         solo = [_outcome(_solo(inst)) for inst in insts]
+        monkeypatch.setattr(optimizer, "_STACK_CELLS", 1)
+        calls = []
+        single = optimizer.solve_utility_max
+        monkeypatch.setattr(optimizer, "solve_utility_max",
+                            lambda inst: calls.append(inst) or single(inst))
         assert [_outcome(r) for r in solve_utility_batch(insts)] == solo
+        assert calls == insts
