@@ -16,7 +16,6 @@ row-minimum in the optimizer module is the independent oracle for all of this.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -215,50 +214,41 @@ def k_max(
     return k
 
 
-def write_line_sweep_csv(
-    path,
+def line_sweep_rows(
     params: LineNetworkParams,
     lambda_values,
     delta_target_s: float,
     eta: float,
-) -> None:
-    """Sweep lambda_min on the line deployment and export one row per
-    (lambda, mode): lambda_min_pps, mode, t_star, delta_star_s, gain, k_max,
-    bottleneck_k.  Infinite gain is spelled "inf"; infeasible entries leave
-    t_star <= 0 and blank delta/k_max.
+) -> list[dict]:
+    """Sweep lambda_min on the line deployment: one preformatted row per
+    (lambda, mode) with lambda_min_pps, mode, t_star, delta_star_s, gain,
+    k_max, bottleneck_k.  Infinite gain is spelled "inf"; infeasible entries
+    keep t_star <= 0 and blank delta/k_max.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["lambda_min_pps", "mode", "t_star", "delta_star_s", "gain", "k_max", "bottleneck_k"]
-        )
-        for lam in lambda_values:
-            p = replace(params, lambda_min=float(lam))
-            gains = {}
+    rows = []
+    for lam in lambda_values:
+        p = replace(params, lambda_min=float(lam))
+        try:
+            g = latency_gain_line(p)
+            gain = "inf" if math.isinf(g) else f"{g:.9g}"
+        except BothInfeasible:
+            gain = ""
+        for mode in DuplexMode:
+            prof = bottleneck_profile(p, mode)
+            t = float(np.min(prof))
             try:
-                g = latency_gain_line(p)
-                gains = {m: g for m in DuplexMode}
-            except BothInfeasible:
-                gains = {m: math.nan for m in DuplexMode}
-            for mode in DuplexMode:
-                prof = bottleneck_profile(p, mode)
-                t = float(np.min(prof))
-                feasible = t > 0
-                delta_star = -math.log1p(-eta) / t if feasible else None
-                try:
-                    kmx = k_max(p, delta_target_s, eta, mode)
-                except InfeasibleTarget:
-                    kmx = None
-                writer.writerow(
-                    [
-                        f"{lam:.9g}",
-                        mode.value,
-                        f"{t:.9g}",
-                        "" if delta_star is None else f"{delta_star:.9g}",
-                        "inf" if math.isinf(gains[mode]) else (
-                            "" if math.isnan(gains[mode]) else f"{gains[mode]:.9g}"
-                        ),
-                        "" if kmx is None else kmx,
-                        int(np.argmin(prof)),
-                    ]
-                )
+                kmx = k_max(p, delta_target_s, eta, mode)
+            except InfeasibleTarget:
+                kmx = ""
+            rows.append(
+                {
+                    "lambda_min_pps": f"{lam:.9g}",
+                    "mode": mode.value,
+                    "t_star": f"{t:.9g}",
+                    "delta_star_s": f"{-math.log1p(-eta) / t:.9g}" if t > 0 else "",
+                    "gain": gain,
+                    "k_max": kmx,
+                    "bottleneck_k": int(np.argmin(prof)),
+                }
+            )
+    return rows

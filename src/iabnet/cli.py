@@ -1,8 +1,13 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the experiment runners and the closed-form
-line-network analyses.  All of them accept --config (JSON, sections topology/
-channel/qos/duplex/mc/output); --seed, --drops and --out override the config.
+Each subcommand is one entry of RUNNERS: a runner from iabnet.experiments
+whose output experiments.save_run writes as <name>.csv or <name>.json beside
+a <name>.run.json manifest.  A subcommand prints the paths written, except
+utility and kmax, which print their report.  All of them accept --config
+(JSON, sections topology/channel/qos/duplex/mc/output); --seed, --drops and
+--out override the config.  The closed-form line analyses, latency-gain and
+kmax, also take the line capacities --ra-pps and --rb-pps, which their
+manifests record.
 """
 
 from __future__ import annotations
@@ -10,15 +15,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
+from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import analysis, experiments
-from .analysis import InfeasibleTarget, LineNetworkParams
+from . import experiments
 from .experiments import ExperimentConfig, load_config
-from .topology import DuplexMode
 
 
 def _resolved_config(args) -> ExperimentConfig:
@@ -32,89 +33,53 @@ def _resolved_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _line_params(cfg: ExperimentConfig, args) -> LineNetworkParams:
-    lam = float(np.atleast_1d(cfg.qos.lambda_min_pps)[0])
-    return LineNetworkParams(
-        K=max(cfg.topology.K, 1),
-        w=cfg.topology.w,
-        R_b=args.rb_pps,
-        R_a=args.ra_pps,
-        lambda_min=lam,
-    )
+def _line(args) -> dict:
+    return {"R_a": args.ra_pps, "R_b": args.rb_pps}
 
 
-SWEEPS = {
-    "min-delay": (experiments.run_min_delay_sweep, "min_delay"),
-    "rate-sweep": (experiments.run_rate_sweep, "rate_sweep"),
-    "delay-sweep": (experiments.run_delay_sweep, "delay_sweep"),
+def _packet_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+class Runner(NamedTuple):
+    """One subcommand: what it computes, where save_run puts it, what it prints."""
+
+    run: Callable[[ExperimentConfig, argparse.Namespace], dict]  # -> save_run keyword arguments
+    name: str                  # artifact name
+    prints: str = "paths"      # "paths" written, or the "report"
+    indent: int | None = None  # JSON indent of what it prints
+
+
+RUNNERS = {
+    "min-delay": Runner(
+        lambda cfg, args: {"results": experiments.run_min_delay_sweep(cfg)}, "min_delay"),
+    "rate-sweep": Runner(
+        lambda cfg, args: {"results": experiments.run_rate_sweep(cfg)}, "rate_sweep"),
+    "delay-sweep": Runner(
+        lambda cfg, args: {"results": experiments.run_delay_sweep(cfg)}, "delay_sweep"),
+    "validate-queues": Runner(
+        lambda cfg, args: {"report": experiments.run_queue_validation(cfg, args.packets)},
+        "queue_validation"),
+    "utility": Runner(
+        lambda cfg, args: {"report": experiments.run_utility(cfg)}, "utility", "report", 2),
+    "kmax": Runner(
+        lambda cfg, args: {"report": experiments.run_kmax(cfg, **_line(args)),
+                           "line": _line(args)},
+        "kmax", "report"),
+    "latency-gain": Runner(
+        lambda cfg, args: {"rows": experiments.run_latency_gain(cfg, **_line(args)),
+                           "line": _line(args)},
+        "latency_gain"),
 }
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolved_config(args)
-    runner, name = SWEEPS[args.command]
-    paths = experiments.save_run(cfg, name, results=runner(cfg))
-    print(json.dumps(paths))
-    return 0
-
-
-def cmd_utility(args) -> int:
-    cfg = _resolved_config(args)
-    tree, links = experiments._drop_links(cfg, experiments.base_tree(cfg), 0)
-    delta = float(np.atleast_1d(cfg.qos.delta_s)[0])
-    rinr = cfg.duplex.rinr_db_sweep[0]
-    out = {}
-    for mode in (DuplexMode(m) for m in cfg.duplex.modes):
-        caps = experiments._capacities(cfg, links, mode, rinr)
-        sol, status, _ = experiments._solve_utility(cfg, tree, mode, caps, delta)
-        out[mode.value] = {"status": status} if sol is None else {
-            "status": status,
-            "lambda": [float(v) for v in sol.lam],
-            "mu": [float(v) for v in sol.mu],
-            "objective": sol.objective,
-            "kkt_residual": sol.kkt_residual,
-        }
-    print(json.dumps(out, indent=2))
-    return 0
-
-
-def cmd_kmax(args) -> int:
-    cfg = _resolved_config(args)
-    params = _line_params(cfg, args)
-    delta = float(np.atleast_1d(cfg.qos.delta_s)[0])
-    out = {}
-    for mode in DuplexMode:
-        try:
-            out[mode.value] = analysis.k_max(params, delta, cfg.qos.eta, mode)
-        except InfeasibleTarget:
-            out[mode.value] = "infeasible"
-    print(json.dumps(out))
-    return 0
-
-
-def cmd_latency_gain(args) -> int:
-    cfg = _resolved_config(args)
-    params = _line_params(cfg, args)
-    lambdas = [float(v) for v in np.atleast_1d(cfg.qos.lambda_min_pps)]
-    delta = float(np.atleast_1d(cfg.qos.delta_s)[0])
-    import os
-
-    os.makedirs(cfg.output.dir, exist_ok=True)
-    path = os.path.join(cfg.output.dir, "latency_gain.csv")
-    analysis.write_line_sweep_csv(path, params, lambdas, delta, cfg.qos.eta)
-    print(json.dumps({"csv": path}))
-    return 0
-
-
-def cmd_validate_queues(args) -> int:
-    cfg = _resolved_config(args)
-    report = experiments.run_queue_validation(cfg, n_packets=args.packets)
-    paths = experiments.save_run(cfg, "queue_validation", report=report)
-    print(json.dumps(paths))
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iabnet",
         description="Latency-constrained analysis of full-duplex self-backhauled networks",
@@ -138,19 +103,18 @@ def main(argv: list[str] | None = None) -> int:
     common(sub.add_parser("delay-sweep", help="rate gain vs delay threshold"))
     vq = sub.add_parser("validate-queues", help="simulate a solved operating point")
     common(vq)
-    vq.add_argument("--packets", type=int, default=100_000)
+    vq.add_argument("--packets", type=_packet_count, default=100_000)
+    return parser
 
-    args = parser.parse_args(argv)
-    if args.command == "validate-queues" and args.packets < 1:
-        vq.error(f"argument --packets: must be at least 1, got {args.packets}")
-    handlers = {
-        **dict.fromkeys(SWEEPS, cmd_sweep),
-        "utility": cmd_utility,
-        "kmax": cmd_kmax,
-        "latency-gain": cmd_latency_gain,
-        "validate-queues": cmd_validate_queues,
-    }
-    return handlers[args.command](args)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    runner = RUNNERS[args.command]
+    cfg = _resolved_config(args)
+    saved = runner.run(cfg, args)
+    paths = experiments.save_run(cfg, runner.name, **saved)
+    print(json.dumps(paths if runner.prints == "paths" else saved["report"], indent=runner.indent))
+    return 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ Each experiment drops UEs around their serving BSs, draws one set of link
 states per drop, evaluates both duplex modes on those shared states (paired
 comparison), and writes figure-ready CSV tables plus a <name>.run.json
 manifest per experiment, so several experiments can share one output
-directory.
+directory.  The line runners (latency gain, k_max) evaluate the closed
+forms of iabnet.analysis on a line config, with the line capacities as
+arguments; they draw no drop.
 
 The utility sweeps run each drop in three steps.  Plan: draw the drop and
 list its distinct problems, keyed on (mode, capacity vector, delta), so
@@ -32,6 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import queueing
+from .analysis import InfeasibleTarget, LineNetworkParams, k_max, line_sweep_rows
 from .channel import (
     MIN_UE_DISTANCE_M,
     ArrayConfig,
@@ -134,11 +137,13 @@ class QosConfig:
         _require(_is_real(self.eta) and 0.0 < self.eta < 1.0, "qos.eta", self.eta,
                  "a number in (0, 1)")
         delta_s = np.atleast_1d(self.delta_s)
-        _require(delta_s.size > 0 and all(_is_real(d) and d > 0 for d in delta_s),
-                 "qos.delta_s", self.delta_s, "positive numbers, non-empty")
+        _require(delta_s.size > 0
+                 and all(_is_real(d) and math.isfinite(d) and d > 0 for d in delta_s),
+                 "qos.delta_s", self.delta_s, "positive finite numbers, non-empty")
         lambda_min = np.atleast_1d(self.lambda_min_pps)
-        _require(lambda_min.size > 0 and all(_is_real(v) and v >= 0 for v in lambda_min),
-                 "qos.lambda_min_pps", self.lambda_min_pps, "numbers >= 0, non-empty")
+        _require(lambda_min.size > 0
+                 and all(_is_real(v) and math.isfinite(v) and v >= 0 for v in lambda_min),
+                 "qos.lambda_min_pps", self.lambda_min_pps, "finite numbers >= 0, non-empty")
         _require(_is_int(self.packet_bytes) and self.packet_bytes > 0, "qos.packet_bytes",
                  self.packet_bytes, "a positive integer")
 
@@ -485,6 +490,59 @@ def run_min_delay_sweep(cfg: ExperimentConfig) -> list[DropResult]:
     return results
 
 
+def run_utility(cfg: ExperimentConfig) -> dict:
+    """Solve drop 0's utility problem once per configured duplex mode, at the
+    first delay and RINR of the config: per mode its status and, when
+    solved, the UE rates, schedule, objective and KKT residual."""
+    tree, links = _drop_links(cfg, base_tree(cfg), 0)
+    delta = float(np.atleast_1d(cfg.qos.delta_s)[0])
+    rinr_db = cfg.duplex.rinr_db_sweep[0]
+    out = {}
+    for mode in _modes(cfg):
+        caps = _capacities(cfg, links, mode, rinr_db)
+        sol, status, _ = _solve_utility(cfg, tree, mode, caps, delta)
+        out[mode.value] = {"status": status} if sol is None else {
+            "status": status,
+            "lambda": [float(v) for v in sol.lam],
+            "mu": [float(v) for v in sol.mu],
+            "objective": sol.objective,
+            "kkt_residual": sol.kkt_residual,
+        }
+    return out
+
+
+def run_latency_gain(cfg: ExperimentConfig, R_a: float, R_b: float) -> list[dict]:
+    """Closed-form FD/HD latency gain, t* and k_max on the line deployment
+    (topology.K relays, access capacity R_a, backhaul R_b, packets/s), one
+    row per (qos.lambda_min_pps value, mode)."""
+    t = cfg.topology
+    _require(t.kind == "line", "topology.kind", t.kind, "'line' for latency-gain")
+    _require(t.K >= 1, "topology.K", t.K, "an integer >= 1 for latency-gain")
+    lambdas = [float(v) for v in np.atleast_1d(cfg.qos.lambda_min_pps)]
+    params = LineNetworkParams(K=t.K, w=t.w, R_b=R_b, R_a=R_a, lambda_min=lambdas[0])
+    delta = float(np.atleast_1d(cfg.qos.delta_s)[0])
+    return line_sweep_rows(params, lambdas, delta, cfg.qos.eta)
+
+
+def run_kmax(cfg: ExperimentConfig, R_a: float, R_b: float) -> dict:
+    """Maximum line depth per duplex mode ("infeasible" when even K = 1
+    misses the target) at the first delay and rate floor of the config.
+
+    topology.K is ignored: the depth is what k_max solves for.
+    """
+    _require(cfg.topology.kind == "line", "topology.kind", cfg.topology.kind, "'line' for kmax")
+    params = LineNetworkParams(K=1, w=cfg.topology.w, R_b=R_b, R_a=R_a,
+                               lambda_min=float(np.atleast_1d(cfg.qos.lambda_min_pps)[0]))
+    delta = float(np.atleast_1d(cfg.qos.delta_s)[0])
+    out = {}
+    for mode in DuplexMode:
+        try:
+            out[mode.value] = k_max(params, delta, cfg.qos.eta, mode)
+        except InfeasibleTarget:
+            out[mode.value] = "infeasible"
+    return out
+
+
 def run_queue_validation(cfg: ExperimentConfig, n_packets: int = 100_000) -> dict:
     """Solve one drop in full duplex, simulate the queueing network at the
     solved operating point, and compare empirical delivery probabilities and
@@ -564,9 +622,12 @@ def save_run(
     name: str,
     results: list[DropResult] | None = None,
     report: dict | None = None,
+    rows: list[dict] | None = None,
+    line: dict | None = None,
 ) -> dict[str, str]:
-    """Persist a sweep (CSV) or report (JSON) plus its <name>.run.json
-    manifest.
+    """Persist a sweep's drops or rows (CSV) or a report (JSON) plus its
+    <name>.run.json manifest.  ``line``, the line capacities a closed-form
+    runner was given outside the config, goes into the manifest.
 
     Returns the paths written, keyed by artifact kind.
     """
@@ -574,6 +635,7 @@ def save_run(
     paths = {}
     if results is not None:
         rows = [row for r in results for row in r.rows]
+    if rows is not None:
         csv_path = os.path.join(cfg.output.dir, f"{name}.csv")
         write_rows_csv(csv_path, rows)
         paths["csv"] = csv_path
@@ -587,6 +649,7 @@ def save_run(
         "config": _jsonable(asdict(cfg)),
         "seed": cfg.mc.seed,
         "n_drops": cfg.mc.n_drops,
+        **({} if line is None else {"line": line}),
         "artifacts": sorted(paths.values()),
     }
     man_path = os.path.join(cfg.output.dir, f"{name}.run.json")

@@ -17,9 +17,10 @@ from iabnet.analysis import (
     k_max,
     latency_gain,
     latency_gain_line,
+    line_sweep_rows,
     t_star_line,
-    write_line_sweep_csv,
 )
+from iabnet.experiments import ExperimentConfig, OutputConfig, save_run
 from iabnet.optimizer import closed_form_t_star
 from iabnet.topology import DuplexMode
 
@@ -179,10 +180,11 @@ class TestKMax:
 class TestSweepCsv:
     def test_header_and_inf_encoding(self, tmp_path):
         p = LineNetworkParams(K=3, w=1, R_b=3000.0, R_a=1000.0, lambda_min=0.0)
-        path = tmp_path / "sweep.csv"
         # 450 pps sits between the HD and FD feasibility limits (375 and 500)
-        write_line_sweep_csv(path, p, [0.0, 450.0, 990.0], 10e-3, 0.9)
-        lines = path.read_text().strip().splitlines()
+        rows = line_sweep_rows(p, [0.0, 450.0, 990.0], 10e-3, 0.9)
+        cfg = ExperimentConfig(output=OutputConfig(dir=str(tmp_path)))
+        assert save_run(cfg, "sweep", rows=rows)["csv"] == str(tmp_path / "sweep.csv")
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "lambda_min_pps,mode,t_star,delta_star_s,gain,k_max,bottleneck_k"
         assert len(lines) == 1 + 3 * 2
         gains = [ln.split(",")[4] for ln in lines[1:]]

@@ -1,5 +1,6 @@
 """Experiment harness: configs, Monte Carlo discipline, persistence, CLI."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -37,16 +38,19 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"
 
 # sha256 of every artifact test_config_runs_its_subcommand makes each config
 # write at --drops 1: its CSV or JSON files (the .run.json manifest, which
-# holds the output directory, is skipped) or, for kmax, which writes no file,
-# its stdout.  Recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31
-# (the same with 1 and 2 BLAS threads); another BLAS build may round
+# holds the output directory, is skipped) and, for kmax, which prints its
+# report, also its stdout.  Recorded with numpy 2.4.6, scipy 1.17.1 and
+# OpenBLAS 0.3.31 (the same with 1 and 2 BLAS threads); another BLAS build may round
 # differently and fail this without a fault in iabnet.  A change may
 # regenerate these values only if it says why they moved.
 CONFIG_DIGESTS = {
     "delay-sweep": {
         "delay_sweep.csv": "cbbd0814a4150cb521bedc0fb84434396bb03a0328813e241af1d74dd990f22a",
     },
-    "kmax": {"stdout": "269c31b0cae8106b5812edc08850a7b0e15020470bf79b7b64af63e4e261208a"},
+    "kmax": {
+        "stdout": "269c31b0cae8106b5812edc08850a7b0e15020470bf79b7b64af63e4e261208a",
+        "kmax.json": "0da9b87713726e6311c782469fc884d713d211baf22b234cfd57cce54cbf6109",
+    },
     "latency-gain": {
         "latency_gain.csv": "a4b7cb2fe6579c90c9cac3d8d2b3a0b7a4dbf850c8e5f4e0ef2b330c65f016e6",
     },
@@ -112,6 +116,10 @@ class TestConfig:
             ("qos", "packet_bytes", 0),
             ("qos", "delta_s", []),
             ("qos", "lambda_min_pps", []),
+            # JSON's Infinity literal parses to math.inf
+            ("qos", "delta_s", math.inf),
+            ("qos", "delta_s", [1e-3, math.inf]),
+            ("qos", "lambda_min_pps", math.inf),
             ("duplex", "rinr_db_sweep", -15.0),
             ("duplex", "rinr_db_sweep", []),
             ("duplex", "modes", []),
@@ -342,13 +350,16 @@ class TestPersistence:
 
 
 class TestCli:
-    def test_kmax_subcommand(self, capsys):
+    def test_kmax_subcommand(self, tmp_path, capsys):
         rc = cli.main(
-            ["kmax", "--ra-pps", "1000", "--rb-pps", "4000"]
+            ["kmax", "--ra-pps", "1000", "--rb-pps", "4000", "--out", str(tmp_path)]
         )
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert set(out) == {"hd", "fd"}
+        assert json.loads((tmp_path / "kmax.json").read_text()) == out
+        man = json.loads((tmp_path / "kmax.run.json").read_text())
+        assert man["line"] == {"R_a": 1000.0, "R_b": 4000.0}
 
     def test_latency_gain_subcommand(self, tmp_path, capsys):
         rc = cli.main(
@@ -360,6 +371,40 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert os.path.exists(out["csv"])
+        man = json.loads(Path(out["manifest"]).read_text())
+        assert man["line"] == {"R_a": 1000.0, "R_b": 4000.0}
+        assert man["artifacts"] == [out["csv"]]
+
+    @pytest.mark.parametrize("command", ["latency-gain", "kmax"])
+    @pytest.mark.parametrize("kind", ["two_child", "custom"])
+    def test_line_analyses_reject_non_line_topology(self, command, kind, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"topology": {"kind": kind, "K": 0, "tree_json": "t.json"}}))
+        out = tmp_path / "res"
+        argv = [command, "--config", str(p), "--ra-pps", "1000", "--rb-pps", "4000",
+                "--out", str(out)]
+        with pytest.raises(ValueError, match=r"topology\.kind"):
+            cli.main(argv)
+        assert not out.exists()
+
+    def test_latency_gain_rejects_k_below_one(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"topology": {"kind": "line", "K": 0}}))
+        out = tmp_path / "res"
+        argv = ["latency-gain", "--config", str(p), "--ra-pps", "1000", "--rb-pps", "4000",
+                "--out", str(out)]
+        with pytest.raises(ValueError, match=r"topology\.K\b"):
+            cli.main(argv)
+        assert not out.exists()
+
+    def test_kmax_ignores_topology_k(self):
+        qos = QosConfig(delta_s=1e-2, lambda_min_pps=10.0)
+        reports = [
+            experiments.run_kmax(small_cfg(topology=TopologyConfig(kind="line", K=k, w=1), qos=qos),
+                                 R_a=1000.0, R_b=4000.0)
+            for k in (0, 1, 7)
+        ]
+        assert reports == [{"hd": 2, "fd": 3}] * 3
 
     def test_min_delay_subcommand(self, tmp_path, capsys):
         cfg = {
@@ -408,19 +453,30 @@ class TestCli:
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert json.loads(out)
+        assert (tmp_path / f"{cli.RUNNERS[path.stem].name}.run.json").exists()
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                   if not p.name.endswith(".run.json")}
         if path.stem == "kmax":
-            written = {"stdout": out.encode()}
-        else:
-            written = {p.name: p.read_bytes() for p in tmp_path.iterdir()
-                       if not p.name.endswith(".run.json")}
+            written["stdout"] = out.encode()
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
         assert digests == CONFIG_DIGESTS[path.stem]
 
-    def test_utility_subcommand_certifies_both_modes(self, capsys):
+    def test_every_subcommand_has_one_runner_and_a_readme_line(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(cli.RUNNERS)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        documented = [ln.split()[1] for ln in block.splitlines() if ln.startswith("iabnet ")]
+        assert sorted(documented) == sorted(cli.RUNNERS)
+
+    def test_utility_subcommand_certifies_both_modes(self, tmp_path, capsys):
         path = next(p for p in CONFIGS if p.stem == "rate-sweep")
-        assert cli.main(["utility", "--config", str(path)]) == 0
+        assert cli.main(["utility", "--config", str(path), "--out", str(tmp_path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert set(out) == {"hd", "fd"}
+        assert json.loads((tmp_path / "utility.json").read_text()) == out
+        assert (tmp_path / "utility.run.json").exists()
         for sol in out.values():
             assert list(sol) == ["status", "lambda", "mu", "objective", "kkt_residual"]
             assert sol["status"] == "optimal"
